@@ -16,8 +16,8 @@ from .linalg import (SvdConvergenceError, SvdResult, as_matrix, default_rank_tol
                      numeric_rank, svd)
 from .metrics import SetScore, length_error, set_score, wer
 from .rlg import (DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
-                  RankAssumptionError, RlgConfig, extract_q, lp_feasible,
-                  lp_separator, rlg_attack, screen)
+                  LpSingularBasisError, RankAssumptionError, RlgConfig, extract_q,
+                  lp_feasible, lp_separator, rlg_attack, screen)
 from .simulator import (GradientCase, ProjectionState, Scenario, ce_logit_grad,
                         initial_state, projection_grad, sample_latents,
                         simulate_case, softmax)

@@ -143,13 +143,16 @@ def read_grd(path: str) -> np.ndarray:
 
 
 def save_decoder(path: str, decoder: ToyDecoder) -> None:
-    write_json_atomic(path, {
+    doc = {
         "version": 1,
         "d_a": decoder.d_a,
         "classes": decoder.classes,
         "w": decoder.w.tolist(),
         "b": decoder.b.tolist(),
-    })
+    }
+    if decoder.pos is not None:
+        doc["pos"] = decoder.pos.tolist()
+    write_json_atomic(path, doc)
 
 
 def load_decoder(path: str) -> ToyDecoder:
@@ -157,8 +160,10 @@ def load_decoder(path: str) -> ToyDecoder:
         doc = json.load(fh)
     if doc.get("version") != 1:
         raise ValueError(f"{path}: unrecognized decoder version")
+    pos = doc.get("pos")
     return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
-                      b=np.asarray(doc["b"], dtype=np.float64))
+                      b=np.asarray(doc["b"], dtype=np.float64),
+                      pos=np.asarray(pos, dtype=np.float64) if pos is not None else None)
 
 
 def decoder_from_state(state: ProjectionState) -> ToyDecoder:

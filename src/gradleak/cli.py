@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--rank-tol", type=float, default=None)
     atk.add_argument("--no-screen", action="store_true")
     atk.add_argument("--lp-cap-infeasible", action="store_true",
-                     help="treat LP pivot-cap overruns as infeasible instead of failing")
+                     help="treat LP pivot-cap overruns as infeasible instead of failing "
+                          "(a singular LP basis still fails the case)")
     atk.add_argument("--keep-going", action="store_true",
                      help="record per-case failures and continue")
     atk.add_argument("--jobs", type=int, default=1)
@@ -196,14 +197,12 @@ def _cmd_attack(args) -> int:
     }
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_case = list(pool.map(_attack_one, args.cases, [opts] * len(args.cases)))
+            entries = pool.map(_attack_one, args.cases, [opts] * len(args.cases))
+            per_case = _until_first_error(entries, args.keep_going)
+            pool.shutdown(cancel_futures=True)  # cases past the first error need not run
     else:
-        per_case = []
-        for path in args.cases:
-            entry = _attack_one(path, opts)
-            per_case.append(entry)
-            if "error" in entry and not args.keep_going:
-                break
+        per_case = _until_first_error(
+            (_attack_one(path, opts) for path in args.cases), args.keep_going)
     errored = [e for e in per_case if "error" in e]
     if errored and not args.keep_going:
         save_report(args.report, per_case, _config_echo(args))
@@ -212,6 +211,16 @@ def _cmd_attack(args) -> int:
     save_report(args.report, per_case, _config_echo(args))
     print(args.report)
     return 0 if not errored else 1
+
+
+def _until_first_error(entries, keep_going: bool) -> list[dict]:
+    """Entries in input order; without keep_going, stop after the first error."""
+    kept = []
+    for entry in entries:
+        kept.append(entry)
+        if "error" in entry and not keep_going:
+            break
+    return kept
 
 
 def _config_echo(args) -> dict:
@@ -245,13 +254,17 @@ def _cmd_gm(args) -> int:
     elif args.use_true_s:
         s_used = case.true_s
     else:
-        s_used, _ = extract_q(case.delta_w, RlgConfig())
+        s_used = None  # inferred from the update's rank
     bow = None
     if args.bow:
+        # one SVD serves both the inferred S and the recovered label set
         pred = rlg_attack(case.delta_w, RlgConfig(assume_s=s_used))
+        s_used = pred.inferred_s
         if not pred.labels:
             raise ValueError("rlg attack recovered no labels; cannot restrict the search")
         bow = tuple(sorted(pred.labels))
+    elif s_used is None:
+        s_used, _ = extract_q(case.delta_w, RlgConfig())
     # undo the 1/S averaging of the stored update so the matching target is
     # the plain summed decoder gradient
     target = case.delta_w * float(s_used)

@@ -57,6 +57,18 @@ class LpPivotLimitError(RuntimeError):
         self.pivots = pivots
 
 
+class LpSingularBasisError(RuntimeError):
+    """The simplex basis matrix turned singular at a refactorisation.
+
+    A numerical failure, not a pivot-cap overrun: `cap_as_infeasible` does
+    not cover it, since calling the label infeasible would be a guess.
+    """
+
+    def __init__(self, pivots: int):
+        super().__init__(f"LP basis matrix singular at refactorisation after {pivots} pivots")
+        self.pivots = pivots
+
+
 @dataclass(frozen=True)
 class RlgConfig:
     """Attack knobs.
@@ -172,8 +184,8 @@ def _phase1_cone_distance(generators: np.ndarray, target: np.ndarray,
             # product-form inverse stops pivot-to-pivot roundoff growth
             try:
                 binv = np.linalg.inv(bmat)
-            except np.linalg.LinAlgError:
-                raise LpPivotLimitError(pivots)
+            except np.linalg.LinAlgError as exc:
+                raise LpSingularBasisError(pivots) from exc
         xb = binv @ target
         value = float(cb @ xb)
         y = cb @ binv
@@ -246,7 +258,8 @@ def lp_feasible(q, c: int, cfg: RlgConfig = RlgConfig(), *,
     """Decide whether label column c is strictly separable from the rest.
 
     A pivot-cap overrun raises LpPivotLimitError unless the caller opts into
-    treating it as infeasible via `cap_as_infeasible`.
+    treating it as infeasible via `cap_as_infeasible`.  A singular basis at
+    refactorisation raises LpSingularBasisError either way.
     """
     q = as_matrix(q, "q")
     try:

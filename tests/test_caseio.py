@@ -8,6 +8,7 @@ from gradleak.caseio import (aggregate_report, decoder_from_state, load_case,
                              load_decoder, load_report, read_grd, save_case,
                              save_decoder, save_report, write_grd)
 from gradleak.defense import DefenseSpec
+from gradleak.gm import ToyDecoder
 from gradleak.simulator import Scenario, initial_state, simulate_case
 
 
@@ -95,6 +96,24 @@ def test_decoder_round_trip(tmp_path):
     back = load_decoder(path)
     assert back.w.tobytes() == dec.w.tobytes()
     assert back.b.tobytes() == dec.b.tobytes()
+
+
+def test_decoder_positional_offsets_round_trip(tmp_path):
+    rng = np.random.default_rng(3)
+    dec = ToyDecoder(w=rng.normal(size=(5, 4)), b=rng.normal(size=4),
+                     pos=rng.normal(size=(3, 4)))
+    path = str(tmp_path / "dec.json")
+    save_decoder(path, dec)
+    back = load_decoder(path)
+    assert back.pos.tobytes() == dec.pos.tobytes()
+    assert back.w.tobytes() == dec.w.tobytes()
+    assert back.b.tobytes() == dec.b.tobytes()
+
+    # a version-1 file written without offsets still loads, with none
+    doc = json.loads(open(path).read())
+    del doc["pos"]
+    open(path, "w").write(json.dumps(doc))
+    assert load_decoder(path).pos is None
 
 
 def test_report_round_trip_and_aggregate_invariant(tmp_path):

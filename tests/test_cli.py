@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 
-from gradleak.caseio import load_case, load_report, read_grd
+import gradleak.rlg
+from gradleak.caseio import load_case, load_report, read_grd, save_case, save_decoder
 from gradleak.cli import main
+from gradleak.gm import ToyDecoder, decoder_gradient
+from gradleak.simulator import GradientCase, Scenario
 
 
 def run(argv, capsys=None):
@@ -140,6 +143,24 @@ def test_attack_jobs_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+def test_attack_jobs_stops_at_first_error_like_serial(tmp_path):
+    out_dir = str(tmp_path / "cases")
+    main(["simulate", "--mode", "batch", "--n", "2", "--d", "12",
+          "--classes", "9", "--seed", "6", "--count", "2", "--out", out_dir])
+    ok, ok2 = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))]
+    cases = [ok, str(tmp_path / "bad.json"), ok2]
+    r1 = str(tmp_path / "serial.json")
+    r2 = str(tmp_path / "parallel.json")
+    assert main(["attack", "rlg", *cases, "--report", r1]) == 1
+    assert main(["attack", "rlg", *cases, "--jobs", "2", "--report", r2]) == 1
+    a, b = load_report(r1), load_report(r2)
+    for entry in a["per_case"] + b["per_case"]:
+        entry.pop("wall_time_ms")
+    assert [e["case_id"] for e in a["per_case"]] == cases[:2]
+    assert a["per_case"] == b["per_case"]
+    assert a["aggregate"] == b["aggregate"]
+
+
 def test_defend_rewrites_case(tmp_path):
     case_path = str(tmp_path / "case.json")
     out_path = str(tmp_path / "defended.json")
@@ -191,6 +212,62 @@ def test_gm_subcommand_end_to_end(tmp_path):
     assert doc["result"]["n_vars"] == 2 * (6 + len(set(truth)))
     assert doc["config"]["s_used"] == 2
     assert doc["result"]["final_loss"] < 0.5
+
+
+def test_gm_positional_offsets_decide_order_through_files(tmp_path):
+    # the offsets are what make order recoverable: with them the CLI finds
+    # the true sequence, with them dropped it finds the same labels misordered
+    rng = np.random.Generator(np.random.Philox(key=502))
+    dec = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)), b=rng.normal(0.0, 0.1, 50),
+                     pos=rng.normal(0.0, 1.0, (3, 50)))
+    labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
+    context = rng.normal(0.0, 1.0, (3, 8))
+    onehot = np.zeros((3, 50))
+    onehot[np.arange(3), labels] = 1.0
+    target = decoder_gradient(context, onehot, dec)
+    case_path = str(tmp_path / "seq.json")
+    save_case(case_path, GradientCase(
+        scenario=Scenario(d=8, classes=50, mode="sequence", n=3, labels=tuple(labels)),
+        delta_w=target / 3.0, true_labels=tuple(labels)))
+    with_pos = str(tmp_path / "dec.json")
+    without_pos = str(tmp_path / "dec-nopos.json")
+    save_decoder(with_pos, dec)
+    save_decoder(without_pos, ToyDecoder(w=dec.w, b=dec.b))
+
+    transcripts = []
+    for path in (with_pos, without_pos):
+        report = str(tmp_path / "gm.json")
+        assert main(["gm", case_path, "--decoder", path, "--bow", "--use-true-s",
+                     "--restarts", "2", "--seed", "0", "--lambda", "0.1",
+                     "--report", report]) == 0
+        transcripts.append(json.loads(open(report).read())["result"]["transcript"])
+    assert transcripts[0] == labels
+    assert sorted(transcripts[1]) == sorted(labels)
+    assert transcripts[1] != labels
+
+
+def test_gm_bow_inferred_s_runs_one_svd(tmp_path, monkeypatch):
+    case_path = str(tmp_path / "seq.json")
+    dec_path = str(tmp_path / "dec.json")
+    report = str(tmp_path / "gm.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6",
+          "--classes", "5", "--seed", "21", "--out", case_path,
+          "--decoder-out", dec_path])
+    calls = []
+    real_svd = gradleak.rlg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(gradleak.rlg, "svd", counting_svd)
+    assert main(["gm", case_path, "--decoder", dec_path, "--bow",
+                 "--restarts", "1", "--seed", "0", "--report", report]) == 0
+    assert len(calls) == 1
+    doc = json.loads(open(report).read())
+    truth = load_case(case_path).case.true_labels
+    assert doc["config"]["s_used"] == 2
+    assert doc["config"]["bow"] == sorted(set(truth))
 
 
 def test_eval_merges_reports(tmp_path, capsys):

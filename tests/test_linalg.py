@@ -87,6 +87,27 @@ def test_svd_low_rank_product_and_zero_matrix():
     assert np.abs(res.right @ res.right.T - np.eye(4)).max() == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1200, 300), (300, 1200)])
+def test_svd_rank_deficient_completion(shape):
+    # rank 8 leaves almost every column numerically null, so nearly all of
+    # both factors comes from the orthonormal completion
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(shape[0], 8)) @ rng.normal(size=(8, shape[1]))
+    res = svd(a)
+    r = min(shape)
+    assert numeric_rank(res.singular, max_dim=max(shape)) == 8
+    assert res.left.shape == (shape[0], r) and res.right.shape == (r, shape[1])
+    assert np.abs(res.left.T @ res.left - np.eye(r)).max() <= 1e-10
+    assert np.abs(res.right @ res.right.T - np.eye(r)).max() <= 1e-10
+    assert np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a) <= 1e-8
+    again = svd(a)
+    assert np.array_equal(res.left, again.left)
+    assert np.array_equal(res.singular, again.singular)
+    assert np.array_equal(res.right, again.right)
+    first = (res.right != 0.0).argmax(axis=1)
+    assert (res.right[np.arange(r), first] > 0.0).all()
+
+
 def test_svd_sweep_cap_raises_with_count():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(12, 9))

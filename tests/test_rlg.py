@@ -3,9 +3,9 @@ import pytest
 
 from gradleak.metrics import set_score
 from gradleak.rlg import (FEASIBLE, INFEASIBLE, SCREENED_OUT, DegenerateUpdateError,
-                          LabelSetPrediction, LpPivotLimitError, RankAssumptionError,
-                          RlgConfig, extract_q, lp_feasible, lp_separator,
-                          rlg_attack, screen)
+                          LabelSetPrediction, LpPivotLimitError, LpSingularBasisError,
+                          RankAssumptionError, RlgConfig, extract_q, lp_feasible,
+                          lp_separator, rlg_attack, screen)
 from gradleak.simulator import Scenario, simulate_case
 
 
@@ -61,6 +61,18 @@ def test_extract_q_assume_s_bounds():
         extract_q(case.delta_w, RlgConfig(assume_s=0))
     s, q = extract_q(case.delta_w, RlgConfig(assume_s=3))
     assert s == 3 and q.shape == (3, 5)
+
+
+def test_extract_q_assume_s_above_rank_takes_completion_rows():
+    # rows past the numeric rank come from the SVD's orthonormal completion
+    case = simulate_case(Scenario(d=16, classes=20, mode="batch", n=3,
+                                  latent="gauss", seed=4))
+    s, q = extract_q(case.delta_w, RlgConfig(assume_s=7))
+    assert s == 7 and q.shape == (7, 20)
+    rank, q_live = extract_q(case.delta_w)
+    assert rank == 3
+    assert np.array_equal(q[:3], q_live)
+    assert np.abs(q @ q.T - np.eye(7)).max() <= 1e-10
 
 
 def test_lp_feasible_analytic_examples():
@@ -122,6 +134,26 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible():
     with pytest.raises(LpPivotLimitError):
         lp_feasible(q, 0, max_pivots=0)
     assert lp_feasible(q, 0, max_pivots=0, cap_as_infeasible=True) is False
+
+
+def test_singular_basis_names_its_cause(monkeypatch):
+    # label 0 of this capture needs 98 pivots, so it reaches the
+    # refactorisation at pivot 64
+    case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
+                                  latent="tanh", seed=7000))
+    _, q = extract_q(case.delta_w)
+
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(LpSingularBasisError) as err:
+        lp_feasible(q, 0)
+    assert err.value.pivots == 64
+    assert not isinstance(err.value, LpPivotLimitError)
+    # not a cap overrun, so cap_as_infeasible does not turn it into a decision
+    with pytest.raises(LpSingularBasisError):
+        lp_feasible(q, 0, cap_as_infeasible=True)
 
 
 def test_screen_small_class_count_passes_everything():

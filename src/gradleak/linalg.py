@@ -62,20 +62,19 @@ class SvdResult:
 
 @lru_cache(maxsize=128)
 def _round_robin(n: int):
-    """Tournament schedule covering all column pairs in rounds of disjoint pairs."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
+    """Tournament schedule covering all column pairs in rounds of disjoint pairs.
+
+    Circle method: player 0 keeps seat 0 while the other m - 1 seats rotate
+    by one per round, and seat i plays seat m - 1 - i.  For odd n, player n
+    is the bye and its pairs are dropped.  Pairs are ordered (min, max).
+    """
+    m = n + n % 2
+    turn = np.arange(m - 1, dtype=np.intp)
+    seats = np.zeros((m - 1, m), dtype=np.intp)
+    seats[:, 1:] = (turn[None, :] - turn[:, None]) % (m - 1) + 1
+    a, b = seats[:, :m // 2], seats[:, ::-1][:, :m // 2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return tuple((p[h < n], h[h < n]) for p, h in zip(lo, hi))
 
 
 def _orthonormal_fill(u: np.ndarray, k: int) -> None:

@@ -3,8 +3,10 @@
 Pipeline: infer the contributing sample count S from the numeric rank of the
 update, take the top-S right-singular rows Q, optionally screen the label
 columns of Q with a cheap mistake-driven filter, then decide per-label
-membership by linear-programming feasibility.  A label c is kept when some
-vector r in the box |r_k| <= lp_box_bound satisfies
+membership by linear-programming feasibility.  The surviving labels' LPs
+are solved together in lockstep; each label's decision is the one a solve
+of its own would give.  A label c is kept when some vector r in the box
+|r_k| <= lp_box_bound satisfies
 
     r . q_c <= -lp_margin      and      r . q_j >= 0  for every j != c,
 
@@ -39,6 +41,10 @@ DEFAULT_MAX_PIVOTS = 5000
 SCREEN_EPOCH_CAP = 200
 _RCOST_TOL = 1e-12
 _PIVOT_TOL = 1e-12
+_REFACTOR_EVERY = 64
+_BATCH_ENTRIES = 1 << 18  # pricing-array entries per chunk of labels (2 MiB)
+_CAP_HIT = 1
+_SINGULAR = 2
 
 
 class DegenerateUpdateError(ValueError):
@@ -145,20 +151,42 @@ def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray]:
     return s, q
 
 
-def _phase1_cone_distance(generators: np.ndarray, target: np.ndarray,
-                          max_pivots: int,
-                          stop_below: float = 0.0) -> tuple[float, np.ndarray, int]:
-    """min ||target - generators @ lam||_1 over lam >= 0, by phase-1 simplex.
+def _invert(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of every basis matrix in the stack, and a mask of the singular ones."""
+    try:
+        return np.linalg.inv(bmat), np.zeros(len(bmat), dtype=bool)
+    except np.linalg.LinAlgError:
+        binv = np.zeros_like(bmat)
+        singular = np.zeros(len(bmat), dtype=bool)
+        for i, m in enumerate(bmat):
+            try:
+                binv[i] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return binv, singular
 
-    Revised simplex with Bland's rule: variables are the generator weights
-    (cost 0) followed by the positive and negative L1 slack pair (cost 1),
-    which doubles as the starting artificial basis.  Only the s x s basis
-    matrix is kept and re-solved each pivot, so pricing runs against the
-    original read-only columns and nothing accumulates roundoff.
 
-    Returns (distance, y, pivots) where y are the optimal multipliers of the
-    equality rows: |y|_inf <= 1, y . g_j <= 0 for every generator column,
-    and y . target equals the distance.
+def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
+                    stop_below: float):
+    """min ||q_c - sum_{j != c} lam_j q_j||_1 over lam >= 0 for every label c
+    in `labels`, by phase-1 revised simplex run in lockstep over the labels.
+
+    Each label's variables are the columns of q (cost 0; its own column c
+    is never priced) followed by the positive and negative L1 slack pair
+    (cost 1, ids n_cols + i and n_cols + s + i), which doubles as the
+    starting artificial basis.  Bland's rule enters the lowest improvable id
+    and leaves the lowest basis id among ratio ties, so no label cycles.
+    Only each label's s x s basis matrix and its product-form inverse are
+    kept; pricing runs against the read-only q, so nothing is copied per
+    label and nothing accumulates roundoff.  Every live label takes one
+    pivot per round, so all of them share one pivot count.
+
+    Returns (distance, y, pivots, failed), one entry per label.  y are the
+    optimal multipliers of the equality rows: |y|_inf <= 1, y . q_j <= 0
+    for every j != c, and y . q_c equals the distance.  failed is _CAP_HIT
+    for an unbounded ratio test or a run past `max_pivots`, _SINGULAR for a
+    basis matrix found singular at a refactorisation, with `pivots` the
+    count at the failure.
 
     The objective is non-increasing and bounded by the optimum from below,
     so once it falls under `stop_below` the caller's threshold decision is
@@ -166,90 +194,130 @@ def _phase1_cone_distance(generators: np.ndarray, target: np.ndarray,
     whose reduced costs are rounding noise (y is only meaningful when the
     run finished above the early-stop line).
     """
-    s = target.shape[0]
-    ng = generators.shape[1]
-    # variable order: [0, ng) generators, [ng, ng+s) +slack, [ng+2s) -slack
-    sign0 = np.where(target >= 0.0, 1.0, -1.0)
-    basis = np.where(target >= 0.0, ng + np.arange(s), ng + s + np.arange(s))
-    bmat = np.diag(sign0)
-    binv = np.diag(sign0)
-    cb = np.ones(s)
+    s, n_cols = q.shape
+    n = labels.size
+    dist = np.zeros(n)
+    y_out = np.zeros((n, s))
+    pivots_out = np.zeros(n, dtype=np.intp)
+    failed = np.zeros(n, dtype=np.int8)
 
-    block = 2048
-    refactor_every = 64
+    # per live label: output slot, column, target, basis ids, basis matrix,
+    # its inverse and the basis costs
+    live = np.arange(n)
+    lab = labels
+    target = np.ascontiguousarray(q[:, labels].T)
+    diag = np.arange(s)
+    positive = target >= 0.0
+    basis = np.where(positive, n_cols + diag, n_cols + s + diag)
+    bmat = np.zeros((n, s, s))
+    bmat[:, diag, diag] = np.where(positive, 1.0, -1.0)
+    binv = bmat.copy()
+    cb = np.ones((n, s))
+
     pivots = 0
-    while True:
-        if pivots and pivots % refactor_every == 0:
+    while live.size:
+        if pivots and pivots % _REFACTOR_EVERY == 0:
             # bmat is exact (plain column replacements); refreshing the
             # product-form inverse stops pivot-to-pivot roundoff growth
-            try:
-                binv = np.linalg.inv(bmat)
-            except np.linalg.LinAlgError as exc:
-                raise LpSingularBasisError(pivots) from exc
-        xb = binv @ target
-        value = float(cb @ xb)
-        y = cb @ binv
-        if value < stop_below:
-            return max(value, 0.0), y, pivots
-        # Bland's rule takes the lowest improvable variable index, so scan
-        # generator reduced costs (-y . g_j) left to right in blocks with an
-        # early exit, then the slack pair (1 -+ y)
-        enter = -1
-        for lo in range(0, ng, block):
-            red = y @ generators[:, lo:lo + block]
-            hits = np.flatnonzero(red > _RCOST_TOL)
-            if hits.size:
-                enter = lo + int(hits[0])
-                acol = generators[:, enter]
-                u = binv @ acol
+            binv, singular = _invert(bmat)
+            if singular.any():
+                failed[live[singular]] = _SINGULAR
+                pivots_out[live[singular]] = pivots
+                keep = ~singular
+                live, lab, target, basis, bmat, binv, cb = (
+                    a[keep] for a in (live, lab, target, basis, bmat, binv, cb))
+                if not live.size:
+                    break
+        rows = np.arange(live.size)
+        # stacked matmul runs one BLAS call per label, so every label's
+        # arithmetic is that of a solve on its own
+        xb = (binv @ target[:, :, None])[:, :, 0]
+        value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
+        y = (cb[:, None, :] @ binv)[:, 0, :]
+        red = y @ q
+        red[rows, lab] = -np.inf
+        improving = np.concatenate(
+            [red > _RCOST_TOL, y > 1.0 + _RCOST_TOL, -y > 1.0 + _RCOST_TOL], axis=1)
+        enter = improving.argmax(axis=1)  # Bland: lowest improvable id
+        done = (value < stop_below) | ~improving[rows, enter]
+
+        generator = enter < n_cols
+        acol = np.zeros((live.size, s))
+        acol[generator] = q[:, enter[generator]].T
+        slack = np.flatnonzero(~generator)
+        k = enter[slack] - n_cols
+        acol[slack, k % s] = np.where(k < s, 1.0, -1.0)
+        u = (binv @ acol[:, :, None])[:, :, 0]
+        eligible = u > _PIVOT_TOL
+        ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
+        best = ratios.min(axis=1, keepdims=True)
+        tied = eligible & (ratios <= best + 1e-15)
+        leave = np.where(tied, basis, n_cols + 2 * s).argmin(axis=1)  # Bland
+        unbounded = ~done & ~eligible.any(axis=1)  # cannot occur; defensive
+
+        stop = done | unbounded
+        if stop.any():
+            out = live[done]
+            dist[out] = np.maximum(value[done], 0.0)
+            y_out[out] = y[done]
+            pivots_out[out] = pivots
+            failed[live[unbounded]] = _CAP_HIT
+            pivots_out[live[unbounded]] = pivots
+            keep = ~stop
+            live, lab, target, basis, bmat, binv, cb = (
+                a[keep] for a in (live, lab, target, basis, bmat, binv, cb))
+            enter, generator, acol, u, leave = (
+                a[keep] for a in (enter, generator, acol, u, leave))
+            if not live.size:
                 break
-        if enter < 0:
-            hits = np.flatnonzero(y > 1.0 + _RCOST_TOL)
-            if hits.size:
-                i = int(hits[0])
-                enter = ng + i
-                acol = np.zeros(s)
-                acol[i] = 1.0
-                u = binv[:, i].copy()
-            else:
-                hits = np.flatnonzero(-y > 1.0 + _RCOST_TOL)
-                if hits.size:
-                    i = int(hits[0])
-                    enter = ng + s + i
-                    acol = np.zeros(s)
-                    acol[i] = -1.0
-                    u = -binv[:, i]
-        if enter < 0:
-            return max(value, 0.0), y, pivots
-        rows = np.flatnonzero(u > _PIVOT_TOL)
-        if rows.size == 0:
-            raise LpPivotLimitError(pivots)  # unbounded cannot occur; defensive
-        ratios = xb[rows] / u[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + 1e-15]
-        leave = int(tied[np.argmin(basis[tied])])  # Bland: lowest basis index
-        basis[leave] = enter
-        bmat[:, leave] = acol
-        cb[leave] = 0.0 if enter < ng else 1.0
-        eta = -u / u[leave]
-        eta[leave] = 1.0 / u[leave] - 1.0
-        binv += np.outer(eta, binv[leave])
+            rows = np.arange(live.size)
+
+        basis[rows, leave] = enter
+        bmat[rows, :, leave] = acol
+        cb[rows, leave] = np.where(generator, 0.0, 1.0)
+        u_leave = u[rows, leave]
+        eta = -u / u_leave[:, None]
+        eta[rows, leave] = 1.0 / u_leave - 1.0
+        binv += eta[:, :, None] * binv[rows, leave][:, None, :]
         pivots += 1
         if pivots > max_pivots:
-            raise LpPivotLimitError(pivots)
+            failed[live] = _CAP_HIT
+            pivots_out[live] = pivots
+            break
+    return dist, y_out, pivots_out, failed
 
 
-def _solve_label(q: np.ndarray, c: int, cfg: RlgConfig,
-                 max_pivots: int) -> tuple[bool, np.ndarray]:
+def _solve_labels(q: np.ndarray, labels: np.ndarray, cfg: RlgConfig,
+                  max_pivots: int, cap_as_infeasible: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Decide labels (ascending columns of q) together; returns the feasible
+    mask and each label's separator candidate -lp_box_bound * y.
+
+    Failures are raised for the lowest failing label, as a label-by-label
+    loop would: a singular basis always, a pivot-cap hit unless
+    `cap_as_infeasible` makes it an infeasible decision.
+    """
     s, n_cols = q.shape
-    if not (0 <= c < n_cols):
-        raise ValueError(f"label {c} out of range for {n_cols} columns")
-    target = np.ascontiguousarray(q[:, c])
-    generators = np.ascontiguousarray(np.delete(q, c, axis=1))
-    dist, y, _ = _phase1_cone_distance(generators, target, max_pivots,
-                                       stop_below=0.5 * cfg.lp_margin / cfg.lp_box_bound)
-    feasible = cfg.lp_box_bound * dist >= cfg.lp_margin
+    # labels per lockstep chunk, bounding the (labels, n_cols) pricing array
+    # and the (labels, s, s) basis stacks
+    per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
+    stop_below = 0.5 * cfg.lp_margin / cfg.lp_box_bound
+    chunks = [labels[lo:lo + per] for lo in range(0, labels.size, per)] or [labels]
+    parts = [_cone_distances(q, chunk, max_pivots, stop_below) for chunk in chunks]
+    dist, y, pivots, failed = (np.concatenate(p) for p in zip(*parts))
+    for i in np.flatnonzero(failed):
+        if failed[i] == _SINGULAR:
+            raise LpSingularBasisError(int(pivots[i]))
+        if not cap_as_infeasible:
+            raise LpPivotLimitError(int(pivots[i]))
+    feasible = (cfg.lp_box_bound * dist >= cfg.lp_margin) & (failed == 0)
     return feasible, -cfg.lp_box_bound * y
+
+
+def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
+    q = as_matrix(q, "q")
+    if not (0 <= c < q.shape[1]):
+        raise ValueError(f"label {c} out of range for {q.shape[1]} columns")
+    return q, np.array([c], dtype=np.intp)
 
 
 def lp_feasible(q, c: int, cfg: RlgConfig = RlgConfig(), *,
@@ -261,14 +329,9 @@ def lp_feasible(q, c: int, cfg: RlgConfig = RlgConfig(), *,
     treating it as infeasible via `cap_as_infeasible`.  A singular basis at
     refactorisation raises LpSingularBasisError either way.
     """
-    q = as_matrix(q, "q")
-    try:
-        feasible, _ = _solve_label(q, c, cfg, max_pivots)
-    except LpPivotLimitError:
-        if cap_as_infeasible:
-            return False
-        raise
-    return feasible
+    q, labels = _one_label(q, c)
+    feasible, _ = _solve_labels(q, labels, cfg, max_pivots, cap_as_infeasible)
+    return bool(feasible[0])
 
 
 def lp_separator(q, c: int, cfg: RlgConfig = RlgConfig(), *,
@@ -278,9 +341,9 @@ def lp_separator(q, c: int, cfg: RlgConfig = RlgConfig(), *,
     When not None, r satisfies r . q_c <= -lp_margin, r . q_j >= 0 for all
     j != c, and |r|_inf <= lp_box_bound (up to solver tolerance).
     """
-    q = as_matrix(q, "q")
-    feasible, r = _solve_label(q, c, cfg, max_pivots)
-    return r if feasible else None
+    q, labels = _one_label(q, c)
+    feasible, r = _solve_labels(q, labels, cfg, max_pivots, False)
+    return r[0] if feasible[0] else None
 
 
 def _cone_certificate(generators: np.ndarray, sq_norms: np.ndarray,
@@ -354,20 +417,19 @@ def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig(), *,
     """Full pipeline: rank inference, right-singular extraction, screening,
     and per-label LP feasibility.
 
-    Per-label decisions are independent, so the result does not depend on
-    iteration order.
+    The surviving labels' LPs run together in lockstep, and each decision
+    is the one `lp_feasible` gives for that label alone, so the result does
+    not depend on which labels are solved together.  A failure raises the
+    lowest failing label's error, as a label-by-label loop would.
     """
     a = as_matrix(delta_w, "delta_w")
     s, q, rank_estimate = _extract(a, cfg)
     n_cols = q.shape[1]
-    survivors = screen(q, cfg) if use_screening else set(range(n_cols))
-    statuses: dict[int, str] = {}
-    for c in range(n_cols):
-        if c not in survivors:
-            statuses[c] = SCREENED_OUT
-            continue
-        ok = lp_feasible(q, c, cfg, cap_as_infeasible=cap_as_infeasible,
-                         max_pivots=max_pivots)
+    survivors = screen(q, cfg) if use_screening else range(n_cols)
+    cols = np.array(sorted(survivors), dtype=np.intp)
+    feasible, _ = _solve_labels(q, cols, cfg, max_pivots, cap_as_infeasible)
+    statuses = dict.fromkeys(range(n_cols), SCREENED_OUT)
+    for c, ok in zip(cols.tolist(), feasible.tolist()):
         statuses[c] = FEASIBLE if ok else INFEASIBLE
     labels = frozenset(c for c, st in statuses.items() if st == FEASIBLE)
     return LabelSetPrediction(inferred_s=s, labels=labels,

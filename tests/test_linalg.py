@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gradleak.linalg import (SvdConvergenceError, as_matrix, default_rank_tol,
-                             numeric_rank, svd)
+from gradleak.linalg import (SvdConvergenceError, _round_robin, as_matrix,
+                             default_rank_tol, numeric_rank, svd)
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -147,3 +147,31 @@ def test_numeric_rank_monotone_in_tolerance():
     tols = sorted(10.0 ** rng.uniform(-16, 0, size=25))
     ranks = [numeric_rank(sv, t) for t in tols]
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+
+def _round_robin_by_lists(n):
+    # the circle method written out seat by seat, as the reference schedule
+    players = list(range(n)) + ([-1] if n % 2 else [])
+    m = len(players)
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            a, b = players[i], players[m - 1 - i]
+            if a >= 0 and b >= 0:
+                ps.append(min(a, b))
+                qs.append(max(a, b))
+        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
+def test_round_robin_matches_list_schedule():
+    # the Jacobi sweep order, and so every rotation, follows this schedule
+    for n in [*range(1, 71), 512]:
+        got = _round_robin(n)
+        want = _round_robin_by_lists(n)
+        assert len(got) == len(want), n
+        for (p, q), (wp, wq) in zip(got, want):
+            assert p.dtype == q.dtype == np.intp
+            assert np.array_equal(p, wp) and np.array_equal(q, wq), n

@@ -1,12 +1,32 @@
 import numpy as np
 import pytest
 
+from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
-from gradleak.rlg import (FEASIBLE, INFEASIBLE, SCREENED_OUT, DegenerateUpdateError,
-                          LabelSetPrediction, LpPivotLimitError, LpSingularBasisError,
-                          RankAssumptionError, RlgConfig, extract_q, lp_feasible,
+from gradleak.rlg import (DEFAULT_MAX_PIVOTS, FEASIBLE, INFEASIBLE, SCREENED_OUT,
+                          DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
+                          LpSingularBasisError, RankAssumptionError, RlgConfig,
+                          _cone_distances, _solve_labels, extract_q, lp_feasible,
                           lp_separator, rlg_attack, screen)
 from gradleak.simulator import Scenario, simulate_case
+
+LATENTS = ("tanh", "relu", "gauss")
+
+
+@pytest.fixture(scope="module")
+def captures():
+    """64x100 batch captures of every latent and their drop90/sign copies,
+    each with its Q at the true S: (tag, delta_w, cfg, q)."""
+    out = []
+    for i, latent in enumerate(LATENTS):
+        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
+                                      latent=latent, seed=8100 + i))
+        cfg = RlgConfig(assume_s=case.true_s)
+        for tag, dw in (("clean", case.delta_w),
+                        ("drop90", apply_defense(case.delta_w, DefenseSpec("drop", 0.9))),
+                        ("sign", apply_defense(case.delta_w, DefenseSpec("sign")))):
+            out.append((f"{latent}-{tag}", dw, cfg, extract_q(dw, cfg)[1]))
+    return out
 
 
 def test_config_validation():
@@ -134,6 +154,12 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible():
     with pytest.raises(LpPivotLimitError):
         lp_feasible(q, 0, max_pivots=0)
     assert lp_feasible(q, 0, max_pivots=0, cap_as_infeasible=True) is False
+    case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
+    with pytest.raises(LpPivotLimitError) as err:
+        rlg_attack(case.delta_w, max_pivots=0)
+    assert err.value.pivots == 1
+    pred = rlg_attack(case.delta_w, max_pivots=0, cap_as_infeasible=True)
+    assert set(pred.per_label_status.values()) == {INFEASIBLE}
 
 
 def test_singular_basis_names_its_cause(monkeypatch):
@@ -154,6 +180,11 @@ def test_singular_basis_names_its_cause(monkeypatch):
     # not a cap overrun, so cap_as_infeasible does not turn it into a decision
     with pytest.raises(LpSingularBasisError):
         lp_feasible(q, 0, cap_as_infeasible=True)
+    # the whole attack solves its labels together and fails the same way
+    for cap in (False, True):
+        with pytest.raises(LpSingularBasisError) as err:
+            rlg_attack(case.delta_w, cap_as_infeasible=cap)
+        assert err.value.pivots == 64
 
 
 def test_screen_small_class_count_passes_everything():
@@ -235,3 +266,140 @@ def test_screen_equivalence_large_vocabulary():
     assert case.label_set <= screened.labels
     n_rejected = sum(1 for st in screened.per_label_status.values() if st == SCREENED_OUT)
     assert n_rejected > 15000
+
+
+def _serial_cone_distance(generators, target, max_pivots, stop_below):
+    # the one-label-at-a-time solver the lockstep kernel replaced, kept as
+    # the reference: generators are q without the label's column
+    s = target.shape[0]
+    ng = generators.shape[1]
+    sign0 = np.where(target >= 0.0, 1.0, -1.0)
+    basis = np.where(target >= 0.0, ng + np.arange(s), ng + s + np.arange(s))
+    bmat = np.diag(sign0)
+    binv = np.diag(sign0)
+    cb = np.ones(s)
+    pivots = 0
+    while True:
+        if pivots and pivots % 64 == 0:
+            try:
+                binv = np.linalg.inv(bmat)
+            except np.linalg.LinAlgError as exc:
+                raise LpSingularBasisError(pivots) from exc
+        xb = binv @ target
+        value = float(cb @ xb)
+        y = cb @ binv
+        if value < stop_below:
+            return max(value, 0.0), y, pivots
+        enter = -1
+        hits = np.flatnonzero(y @ generators > 1e-12)
+        if hits.size:
+            enter = int(hits[0])
+            acol = generators[:, enter]
+            u = binv @ acol
+        else:
+            hits = np.flatnonzero(y > 1.0 + 1e-12)
+            if hits.size:
+                i = int(hits[0])
+                enter = ng + i
+                acol = np.zeros(s)
+                acol[i] = 1.0
+                u = binv[:, i].copy()
+            else:
+                hits = np.flatnonzero(-y > 1.0 + 1e-12)
+                if hits.size:
+                    i = int(hits[0])
+                    enter = ng + s + i
+                    acol = np.zeros(s)
+                    acol[i] = -1.0
+                    u = -binv[:, i]
+        if enter < 0:
+            return max(value, 0.0), y, pivots
+        rows = np.flatnonzero(u > 1e-12)
+        if rows.size == 0:
+            raise LpPivotLimitError(pivots)
+        ratios = xb[rows] / u[rows]
+        best = ratios.min()
+        tied = rows[ratios <= best + 1e-15]
+        leave = int(tied[np.argmin(basis[tied])])
+        basis[leave] = enter
+        bmat[:, leave] = acol
+        cb[leave] = 0.0 if enter < ng else 1.0
+        eta = -u / u[leave]
+        eta[leave] = 1.0 / u[leave] - 1.0
+        binv += np.outer(eta, binv[leave])
+        pivots += 1
+        if pivots > max_pivots:
+            raise LpPivotLimitError(pivots)
+
+
+def test_lockstep_matches_serial_solver_exactly(captures):
+    # same arithmetic label by label: distances, multipliers and pivot
+    # counts agree bit for bit, so Bland's rule takes the same path
+    stop_below = 0.5e-6
+    for tag, _, _, q in captures:
+        n = q.shape[1]
+        dist, y, pivots, failed = _cone_distances(q, np.arange(n), DEFAULT_MAX_PIVOTS,
+                                                  stop_below)
+        assert not failed.any(), tag
+        for c in range(n):
+            d, yc, p = _serial_cone_distance(np.delete(q, c, axis=1), q[:, c].copy(),
+                                             DEFAULT_MAX_PIVOTS, stop_below)
+            assert (dist[c], pivots[c]) == (d, p), (tag, c)
+            assert np.array_equal(y[c], yc), (tag, c)
+
+
+def test_attack_statuses_match_single_label_solves(captures):
+    rng = np.random.default_rng(5)
+    for tag, dw, cfg, q in captures:
+        statuses = rlg_attack(dw, cfg).per_label_status
+        n = q.shape[1]
+        for c in range(n):
+            assert statuses[c] == (FEASIBLE if lp_feasible(q, c, cfg) else INFEASIBLE), (tag, c)
+        # any order and any split of the labels gives the same decisions
+        want = np.array([statuses[c] == FEASIBLE for c in range(n)])
+        order = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
+        for part in np.split(order, cuts):
+            got, _ = _solve_labels(q, part, cfg, DEFAULT_MAX_PIVOTS, False)
+            assert np.array_equal(got, want[part]), tag
+
+
+def test_column_permutation_equivariance():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 31), latent=st.sampled_from(LATENTS),
+                      perm=st.permutations(range(40)))
+    def check(seed, latent, perm):
+        case = simulate_case(Scenario(d=32, classes=40, mode="batch", n=4,
+                                      latent=latent, seed=seed))
+        cfg = RlgConfig(assume_s=case.true_s)
+        base = rlg_attack(case.delta_w, cfg).per_label_status
+        perm = np.asarray(perm)
+        got = rlg_attack(case.delta_w[:, perm], cfg).per_label_status
+        assert [got[j] for j in range(40)] == [base[int(c)] for c in perm]
+
+    check()
+
+
+def test_cone_distance_matches_highs(captures):
+    optimize = pytest.importorskip("scipy.optimize")
+    for tag, dw, cfg, q in captures:
+        if tag.endswith("drop90"):
+            continue
+        statuses = rlg_attack(dw, cfg).per_label_status
+        s, n = q.shape
+        cost = np.r_[np.zeros(n - 1), np.ones(2 * s)]
+        slack = np.hstack([np.eye(s), -np.eye(s)])
+        for c in range(n):
+            res = optimize.linprog(cost, A_eq=np.hstack([np.delete(q, c, axis=1), slack]),
+                                   b_eq=q[:, c], bounds=(0, None), method="highs")
+            assert res.status == 0, (tag, c)
+            ref = cfg.lp_box_bound * res.fun
+            if cfg.lp_margin / 10 <= ref <= 10 * cfg.lp_margin:
+                continue
+            assert (statuses[c] == FEASIBLE) == (ref >= cfg.lp_margin), (tag, c, ref)
+            if statuses[c] == FEASIBLE:
+                r = lp_separator(q, c, cfg)
+                assert abs(-(r @ q[:, c]) - ref) <= 1e-8, (tag, c, ref)

@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--use-true-s", action="store_true",
                      help="take S from each case's ground truth")
     atk.add_argument("--rank-tol", type=float, default=None)
-    atk.add_argument("--no-screen", action="store_true")
     atk.add_argument("--lp-cap-infeasible", action="store_true",
                      help="treat LP pivot-cap overruns as infeasible instead of failing "
                           "(a singular LP basis still fails the case)")
@@ -156,8 +155,7 @@ def _attack_one(path: str, opts: dict) -> dict:
             if opts["use_true_s"]:
                 assume = case.true_s
             cfg = RlgConfig(rank_tol_rel=opts["rank_tol"], assume_s=assume)
-            pred = rlg_attack(delta_w, cfg, use_screening=not opts["no_screen"],
-                              cap_as_infeasible=opts["cap_infeasible"])
+            pred = rlg_attack(delta_w, cfg, cap_as_infeasible=opts["cap_infeasible"])
             predicted = sorted(pred.labels)
             inferred = pred.inferred_s
             entry["rank_estimate"] = pred.rank_estimate
@@ -191,7 +189,6 @@ def _cmd_attack(args) -> int:
         "assume_s": args.assume_s,
         "use_true_s": args.use_true_s,
         "rank_tol": args.rank_tol,
-        "no_screen": args.no_screen,
         "cap_infeasible": args.lp_cap_infeasible,
         "delta_grd": args.delta_grd,
     }

@@ -1,11 +1,12 @@
 """Label-set recovery from a projection-layer update.
 
 Pipeline: infer the contributing sample count S from the numeric rank of the
-update, take the top-S right-singular rows Q, optionally screen the label
-columns of Q with a cheap mistake-driven filter, then decide per-label
-membership by linear-programming feasibility.  The surviving labels' LPs
-are solved together in lockstep; each label's decision is the one a solve
-of its own would give.  A label c is kept when some vector r in the box
+update, take the top-S right-singular rows Q, screen the label columns of Q
+with the same LP restricted to the largest-norm columns (only when C
+exceeds that anchor count), then decide per-label membership by
+linear-programming feasibility.  The surviving labels' LPs are solved
+together in lockstep; each label's decision is the one a solve of its own
+would give.  A label c is kept when some vector r in the box
 |r_k| <= lp_box_bound satisfies
 
     r . q_c <= -lp_margin      and      r . q_j >= 0  for every j != c,
@@ -34,15 +35,14 @@ from .linalg import as_matrix, default_rank_tol, numeric_rank, svd
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-SCREENED_OUT = "screened-out"
 
 DEGENERATE_FLOOR = 1e-30
 DEFAULT_MAX_PIVOTS = 5000
-SCREEN_EPOCH_CAP = 200
 _RCOST_TOL = 1e-12
 _PIVOT_TOL = 1e-12
 _REFACTOR_EVERY = 64
 _BATCH_ENTRIES = 1 << 18  # pricing-array entries per chunk of labels (2 MiB)
+_SCREEN_ANCHORS = 500  # largest-norm columns the screen's LPs may use
 _CAP_HIT = 1
 _SINGULAR = 2
 
@@ -81,21 +81,18 @@ class RlgConfig:
 
     rank_tol_rel: relative singular-value cutoff for rank inference (None
     uses the dimension-scaled machine-epsilon default).  assume_s overrides
-    rank inference entirely.  screen_top_m anchors the screening filter on
-    that many largest-norm columns.
+    rank inference entirely.  lp_margin and lp_box_bound fix the strict
+    separation a kept label needs (see the module docstring).
     """
 
     rank_tol_rel: Optional[float] = None
     assume_s: Optional[int] = None
-    screen_top_m: int = 500
     lp_margin: float = 1e-6
     lp_box_bound: float = 1.0
 
     def __post_init__(self):
         if self.rank_tol_rel is not None and self.rank_tol_rel <= 0.0:
             raise ValueError("rank_tol_rel must be positive")
-        if self.screen_top_m < 1:
-            raise ValueError("screen_top_m must be >= 1")
         if self.lp_margin <= 0.0:
             raise ValueError("lp_margin must be positive")
         if self.lp_box_bound <= 0.0:
@@ -166,27 +163,29 @@ def _invert(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return binv, singular
 
 
-def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
-                    stop_below: float):
-    """min ||q_c - sum_{j != c} lam_j q_j||_1 over lam >= 0 for every label c
-    in `labels`, by phase-1 revised simplex run in lockstep over the labels.
+def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
+                    max_pivots: int, stop_below: float):
+    """min ||t_i - sum_{j != own_i} lam_j g_j||_1 over lam >= 0 for every row
+    t_i of `targets`, by phase-1 revised simplex run in lockstep over the
+    targets.  g_j are the columns of `gens`; own_i is the one column target
+    i may not use (a label's own column of Q).
 
-    Each label's variables are the columns of q (cost 0; its own column c
+    Each target's variables are the columns of gens (cost 0; its own column
     is never priced) followed by the positive and negative L1 slack pair
     (cost 1, ids n_cols + i and n_cols + s + i), which doubles as the
     starting artificial basis.  Bland's rule enters the lowest improvable id
-    and leaves the lowest basis id among ratio ties, so no label cycles.
-    Only each label's s x s basis matrix and its product-form inverse are
-    kept; pricing runs against the read-only q, so nothing is copied per
-    label and nothing accumulates roundoff.  Every live label takes one
+    and leaves the lowest basis id among ratio ties, so no target cycles.
+    Only each target's s x s basis matrix and its product-form inverse are
+    kept; pricing runs against the read-only gens, so nothing is copied per
+    target and nothing accumulates roundoff.  Every live target takes one
     pivot per round, so all of them share one pivot count.
 
-    Returns (distance, y, pivots, failed), one entry per label.  y are the
-    optimal multipliers of the equality rows: |y|_inf <= 1, y . q_j <= 0
-    for every j != c, and y . q_c equals the distance.  failed is _CAP_HIT
-    for an unbounded ratio test or a run past `max_pivots`, _SINGULAR for a
-    basis matrix found singular at a refactorisation, with `pivots` the
-    count at the failure.
+    Returns (distance, y, pivots, failed), one entry per target.  y are the
+    optimal multipliers of the equality rows: |y|_inf <= 1, y . g_j <= 0
+    for every j != own_i, and y . t_i equals the distance.  failed is
+    _CAP_HIT for an unbounded ratio test or a run past `max_pivots`,
+    _SINGULAR for a basis matrix found singular at a refactorisation, with
+    `pivots` the count at the failure.
 
     The objective is non-increasing and bounded by the optimum from below,
     so once it falls under `stop_below` the caller's threshold decision is
@@ -194,18 +193,18 @@ def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
     whose reduced costs are rounding noise (y is only meaningful when the
     run finished above the early-stop line).
     """
-    s, n_cols = q.shape
-    n = labels.size
+    s, n_cols = gens.shape
+    n = own.size
     dist = np.zeros(n)
     y_out = np.zeros((n, s))
     pivots_out = np.zeros(n, dtype=np.intp)
     failed = np.zeros(n, dtype=np.int8)
 
-    # per live label: output slot, column, target, basis ids, basis matrix,
-    # its inverse and the basis costs
+    # per live target: output slot, own column, target, basis ids, basis
+    # matrix, its inverse and the basis costs
     live = np.arange(n)
-    lab = labels
-    target = np.ascontiguousarray(q[:, labels].T)
+    lab = own
+    target = np.ascontiguousarray(targets)
     diag = np.arange(s)
     positive = target >= 0.0
     basis = np.where(positive, n_cols + diag, n_cols + s + diag)
@@ -229,12 +228,12 @@ def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
                 if not live.size:
                     break
         rows = np.arange(live.size)
-        # stacked matmul runs one BLAS call per label, so every label's
+        # stacked matmul runs one BLAS call per target, so every target's
         # arithmetic is that of a solve on its own
         xb = (binv @ target[:, :, None])[:, :, 0]
         value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
         y = (cb[:, None, :] @ binv)[:, 0, :]
-        red = y @ q
+        red = y @ gens
         red[rows, lab] = -np.inf
         improving = np.concatenate(
             [red > _RCOST_TOL, y > 1.0 + _RCOST_TOL, -y > 1.0 + _RCOST_TOL], axis=1)
@@ -243,7 +242,7 @@ def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
 
         generator = enter < n_cols
         acol = np.zeros((live.size, s))
-        acol[generator] = q[:, enter[generator]].T
+        acol[generator] = gens[:, enter[generator]].T
         slack = np.flatnonzero(~generator)
         k = enter[slack] - n_cols
         acol[slack, k % s] = np.where(k < s, 1.0, -1.0)
@@ -287,6 +286,21 @@ def _cone_distances(q: np.ndarray, labels: np.ndarray, max_pivots: int,
     return dist, y_out, pivots_out, failed
 
 
+def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
+              cfg: RlgConfig, max_pivots: int):
+    """_cone_distances stopped at half the decision threshold, run over
+    chunks of targets that bound the (targets, n_cols) pricing array and the
+    (targets, s, s) basis stacks."""
+    s, n_cols = gens.shape
+    per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
+    stop_below = 0.5 * cfg.lp_margin / cfg.lp_box_bound
+    # no targets still makes one (empty) chunk, so the outputs keep their types
+    parts = [_cone_distances(gens, targets[lo:lo + per], own[lo:lo + per],
+                             max_pivots, stop_below)
+             for lo in range(0, max(own.size, 1), per)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def _solve_labels(q: np.ndarray, labels: np.ndarray, cfg: RlgConfig,
                   max_pivots: int, cap_as_infeasible: bool) -> tuple[np.ndarray, np.ndarray]:
     """Decide labels (ascending columns of q) together; returns the feasible
@@ -296,14 +310,7 @@ def _solve_labels(q: np.ndarray, labels: np.ndarray, cfg: RlgConfig,
     loop would: a singular basis always, a pivot-cap hit unless
     `cap_as_infeasible` makes it an infeasible decision.
     """
-    s, n_cols = q.shape
-    # labels per lockstep chunk, bounding the (labels, n_cols) pricing array
-    # and the (labels, s, s) basis stacks
-    per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
-    stop_below = 0.5 * cfg.lp_margin / cfg.lp_box_bound
-    chunks = [labels[lo:lo + per] for lo in range(0, labels.size, per)] or [labels]
-    parts = [_cone_distances(q, chunk, max_pivots, stop_below) for chunk in chunks]
-    dist, y, pivots, failed = (np.concatenate(p) for p in zip(*parts))
+    dist, y, pivots, failed = _lockstep(q, q[:, labels].T, labels, cfg, max_pivots)
     for i in np.flatnonzero(failed):
         if failed[i] == _SINGULAR:
             raise LpSingularBasisError(int(pivots[i]))
@@ -346,91 +353,52 @@ def lp_separator(q, c: int, cfg: RlgConfig = RlgConfig(), *,
     return r[0] if feasible[0] else None
 
 
-def _cone_certificate(generators: np.ndarray, sq_norms: np.ndarray,
-                      target: np.ndarray, l1_bound: float,
-                      epoch_cap: int) -> bool:
-    """Try to certify that `target` lies in the conic hull of `generators`.
-
-    Mistake-driven updates with unit relaxation: each epoch adds the most
-    violated generator direction to a running non-negative combination and
-    shrinks the residual.  Returns True only when the residual's L1 norm
-    drops below `l1_bound`, which is an explicit witness that no separator
-    with the configured margin exists; hitting the cap or stalling returns
-    False and leaves the decision to the exact LP.
-    """
-    e = target.astype(np.float64, copy=True)
-    usable = sq_norms > 0.0
-    if not usable.any():
-        return float(np.abs(e).sum()) < l1_bound
-    inv_norm = np.where(usable, 1.0 / np.sqrt(np.where(usable, sq_norms, 1.0)), 0.0)
-    for _ in range(epoch_cap):
-        if float(np.abs(e).sum()) < l1_bound:
-            return True
-        scores = (e @ generators) * inv_norm
-        j = int(np.argmax(scores))
-        if scores[j] <= 0.0:
-            return False
-        step = (e @ generators[:, j]) / sq_norms[j]
-        e -= step * generators[:, j]
-    return float(np.abs(e).sum()) < l1_bound
-
-
 def screen(q, cfg: RlgConfig = RlgConfig()) -> set[int]:
-    """Cheap sound pre-filter over label columns.
+    """Sound pre-filter over label columns: the labels the full LP may keep.
 
-    Anchored on the `screen_top_m` largest-norm columns; a candidate is
-    dropped only when an explicit conic-combination certificate proves the
-    exact LP would reject it, so every LP-feasible label survives.  With C
-    at or below the anchor budget no filtering is possible and all labels
-    pass.
+    Every label's LP is first solved against only the _SCREEN_ANCHORS
+    largest-norm columns other than its own.  Those are a subset of all the
+    other columns, so a screen LP that finishes below the margin proves the
+    full LP infeasible as well, and the label is dropped.  A screen LP that
+    hits the pivot cap or a singular basis keeps its label; the screen never
+    raises.  With C at or below the anchor count the screen LP would be the
+    full LP, so every label passes.
     """
     q = as_matrix(q, "q")
-    _, n_cols = q.shape
-    if n_cols <= cfg.screen_top_m:
+    s, n_cols = q.shape
+    if n_cols <= _SCREEN_ANCHORS:
         return set(range(n_cols))
     norms = np.sqrt((q * q).sum(axis=0))
-    anchors = np.argsort(-norms, kind="stable")[:cfg.screen_top_m]
-    anchor_pos = {int(a): i for i, a in enumerate(anchors)}
-    base = np.ascontiguousarray(q[:, anchors])
-    base_sq = (base * base).sum(axis=0)
-    l1_bound = cfg.lp_margin / cfg.lp_box_bound
-
-    survivors: set[int] = set()
-    for c in range(n_cols):
-        pos = anchor_pos.get(c)
-        if pos is None:
-            gens, sq = base, base_sq
-        else:
-            keep = np.arange(base.shape[1]) != pos
-            gens = base[:, keep]
-            sq = base_sq[keep]
-        target = q[:, c]
-        if not _cone_certificate(gens, sq, target, l1_bound, SCREEN_EPOCH_CAP):
-            survivors.add(c)
-    return survivors
+    anchors = np.argsort(-norms, kind="stable")[:_SCREEN_ANCHORS]
+    # a label that is not an anchor excludes the appended zero column, whose
+    # reduced cost is exactly 0, so it never enters and excluding it is moot
+    gens = np.zeros((s, _SCREEN_ANCHORS + 1))
+    gens[:, :-1] = q[:, anchors]
+    own = np.full(n_cols, _SCREEN_ANCHORS)
+    own[anchors] = np.arange(_SCREEN_ANCHORS)
+    dist, _, _, failed = _lockstep(gens, q.T, own, cfg, DEFAULT_MAX_PIVOTS)
+    rejected = (failed == 0) & (cfg.lp_box_bound * dist < cfg.lp_margin)
+    return set(np.flatnonzero(~rejected).tolist())
 
 
 def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig(), *,
-               use_screening: bool = True,
                cap_as_infeasible: bool = False,
                max_pivots: int = DEFAULT_MAX_PIVOTS) -> LabelSetPrediction:
-    """Full pipeline: rank inference, right-singular extraction, screening,
+    """Full pipeline: rank inference, right-singular extraction, the screen,
     and per-label LP feasibility.
 
-    The surviving labels' LPs run together in lockstep, and each decision
-    is the one `lp_feasible` gives for that label alone, so the result does
-    not depend on which labels are solved together.  A failure raises the
-    lowest failing label's error, as a label-by-label loop would.
+    The screen's survivors run their full LPs together in lockstep, and each
+    decision is the one `lp_feasible` gives for that label alone, so the
+    result does not depend on which labels are solved together.  A label
+    the screen drops is infeasible by proof, and its status says so.  A
+    failure raises the lowest failing survivor's error, as a label-by-label
+    loop would; the screen itself never raises.
     """
     a = as_matrix(delta_w, "delta_w")
     s, q, rank_estimate = _extract(a, cfg)
-    n_cols = q.shape[1]
-    survivors = screen(q, cfg) if use_screening else range(n_cols)
-    cols = np.array(sorted(survivors), dtype=np.intp)
+    cols = np.array(sorted(screen(q, cfg)), dtype=np.intp)
     feasible, _ = _solve_labels(q, cols, cfg, max_pivots, cap_as_infeasible)
-    statuses = dict.fromkeys(range(n_cols), SCREENED_OUT)
-    for c, ok in zip(cols.tolist(), feasible.tolist()):
-        statuses[c] = FEASIBLE if ok else INFEASIBLE
-    labels = frozenset(c for c, st in statuses.items() if st == FEASIBLE)
+    labels = frozenset(cols[feasible].tolist())
+    statuses = {c: FEASIBLE if c in labels else INFEASIBLE for c in range(q.shape[1])}
     return LabelSetPrediction(inferred_s=s, labels=labels,
                               per_label_status=statuses, rank_estimate=rank_estimate)

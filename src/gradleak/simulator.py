@@ -234,13 +234,11 @@ def simulate_case(sc: Scenario) -> GradientCase:
             y = np.asarray(sc.labels[step * sc.n:(step + 1) * sc.n], dtype=np.int64)
         else:
             y = rng.integers(0, sc.classes, size=sc.n)
-        logits = h @ w + b
-        g = _softmax_rows(logits)
-        g[np.arange(sc.n), y] -= 1.0
+        step_dw, g = projection_grad(h, y, ProjectionState(w, b))
         _check_sign_structure(g, y)
         hs = h / sc.n
         if sc.mode == "multistep":
-            w = w - lrs[step] * (hs.T @ g)
+            w = w - lrs[step] * step_dw
             hs = lrs[step] * hs
         h_blocks.append(hs)
         g_blocks.append(g)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gradleak import rlg
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
-from gradleak.rlg import (DEFAULT_MAX_PIVOTS, FEASIBLE, INFEASIBLE, SCREENED_OUT,
+from gradleak.rlg import (DEFAULT_MAX_PIVOTS, FEASIBLE, INFEASIBLE,
                           DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
                           LpSingularBasisError, RankAssumptionError, RlgConfig,
                           _cone_distances, _solve_labels, extract_q, lp_feasible,
@@ -32,8 +33,6 @@ def captures():
 def test_config_validation():
     with pytest.raises(ValueError):
         RlgConfig(lp_margin=0.0)
-    with pytest.raises(ValueError):
-        RlgConfig(screen_top_m=0)
     with pytest.raises(ValueError):
         RlgConfig(rank_tol_rel=-1e-3)
     with pytest.raises(ValueError):
@@ -193,30 +192,72 @@ def test_screen_small_class_count_passes_everything():
     assert screen(q) == set(range(40))
 
 
+def _wide_capture(seed, n=4, latent="tanh"):
+    # 600 classes exceed the screen's 500 anchors, so the screen filters
+    case = simulate_case(Scenario(d=32, classes=600, mode="batch", n=n,
+                                  latent=latent, seed=seed))
+    return case, RlgConfig(assume_s=case.true_s)
+
+
+def _brute_force_labels(q, cfg):
+    feasible, _ = _solve_labels(q, np.arange(q.shape[1]), cfg, DEFAULT_MAX_PIVOTS, False)
+    return set(np.flatnonzero(feasible).tolist())
+
+
 def test_screen_soundness_on_oversized_vocab():
-    # anchors smaller than the class count force real filtering; everything
-    # filtered out must be LP-infeasible
-    cfg = RlgConfig(screen_top_m=60)
-    case = simulate_case(Scenario(d=32, classes=300, mode="batch", n=4,
-                                  latent="tanh", seed=8))
-    _, q = extract_q(case.delta_w, RlgConfig(assume_s=4))
+    # everything filtered out must be LP-infeasible
+    case, cfg = _wide_capture(8)
+    _, q = extract_q(case.delta_w, cfg)
     survivors = screen(q, cfg)
-    rejected = set(range(300)) - survivors
+    rejected = set(range(600)) - survivors
     assert rejected, "filter should reject something at this size"
     assert case.label_set <= survivors
-    for c in sorted(rejected)[:40]:
-        assert not lp_feasible(q, c, cfg)
+    for c in sorted(rejected):
+        assert lp_feasible(q, c, cfg) is False
 
 
 def test_screen_equivalence_moderate_size():
-    cfg = RlgConfig(screen_top_m=60)
+    # on clean, drop90 and sign copies the screened attack keeps exactly the
+    # labels a solve over every column keeps
     for seed in (11, 12):
-        case = simulate_case(Scenario(d=32, classes=300, mode="batch", n=4,
-                                      latent="tanh", seed=seed))
-        with_screen = rlg_attack(case.delta_w, cfg, use_screening=True)
-        without = rlg_attack(case.delta_w, cfg, use_screening=False)
-        assert with_screen.labels == without.labels
-        assert SCREENED_OUT in set(with_screen.per_label_status.values())
+        case, cfg = _wide_capture(seed)
+        for dw in (case.delta_w, apply_defense(case.delta_w, DefenseSpec("drop", 0.9)),
+                   apply_defense(case.delta_w, DefenseSpec("sign"))):
+            _, q = extract_q(dw, cfg)
+            assert rlg_attack(dw, cfg).labels == _brute_force_labels(q, cfg)
+            assert len(screen(q, cfg)) < 60
+
+
+def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatch):
+    # the screen's decision for label c is the serial solver's over the
+    # anchors other than c (anchors or not, the zero column never enters)
+    monkeypatch.setattr(rlg, "_SCREEN_ANCHORS", 60)
+    for tag, _, cfg, q in captures:
+        anchors = np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")[:60]
+        kept = screen(q, cfg)
+        assert len(kept) < q.shape[1], tag
+        for c in range(q.shape[1]):
+            d, _, _ = _serial_cone_distance(q[:, anchors[anchors != c]], q[:, c].copy(),
+                                            DEFAULT_MAX_PIVOTS, 0.5e-6)
+            assert (c in kept) == (cfg.lp_box_bound * d >= cfg.lp_margin), (tag, c)
+
+
+def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
+    case, cfg = _wide_capture(8)
+    _, q = extract_q(case.delta_w, cfg)
+    rejected = set(range(600)) - screen(q, cfg)
+
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # every LP still live at pivot 4 meets a singular basis: the screen keeps
+    # those labels without raising, and the full LP names the failure
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 4)
+    assert rejected & screen(q, cfg)
+    with pytest.raises(LpSingularBasisError) as err:
+        rlg_attack(case.delta_w, cfg)
+    assert err.value.pivots == 4
 
 
 def test_single_sample_attack_recovers_label():
@@ -254,18 +295,34 @@ def test_scale_and_row_space_invariance_smoke():
         assert rlg_attack(m @ case.delta_w, cfg).labels == base
 
 
+def test_scale_and_row_map_invariance():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 31), latent=st.sampled_from(LATENTS),
+                      scale=st.floats(1e-3, 1e3), map_seed=st.integers(0, 2 ** 31))
+    def check(seed, latent, scale, map_seed):
+        case, cfg = _wide_capture(seed, latent=latent)
+        base = rlg_attack(case.delta_w, cfg).labels
+        assert rlg_attack(scale * case.delta_w, cfg).labels == base
+        m = np.random.default_rng(map_seed).normal(size=(32, 32))
+        assert rlg_attack(m @ case.delta_w, cfg).labels == base
+
+    check()
+
+
 @pytest.mark.slow
 def test_screen_equivalence_large_vocabulary():
-    # 16k classes: the screening filter must not change the recovered set
+    # 16k classes: the screen must not change the recovered set
     case = simulate_case(Scenario(d=64, classes=16000, mode="batch", n=10,
                                   latent="tanh", seed=77))
     cfg = RlgConfig(assume_s=case.true_s)
-    screened = rlg_attack(case.delta_w, cfg, use_screening=True)
-    unscreened = rlg_attack(case.delta_w, cfg, use_screening=False)
-    assert screened.labels == unscreened.labels
-    assert case.label_set <= screened.labels
-    n_rejected = sum(1 for st in screened.per_label_status.values() if st == SCREENED_OUT)
-    assert n_rejected > 15000
+    _, q = extract_q(case.delta_w, cfg)
+    pred = rlg_attack(case.delta_w, cfg)
+    assert pred.labels == _brute_force_labels(q, cfg)
+    assert case.label_set <= pred.labels
+    assert 16000 - len(screen(q, cfg)) > 15000
 
 
 def _serial_cone_distance(generators, target, max_pivots, stop_below):
@@ -338,7 +395,7 @@ def test_lockstep_matches_serial_solver_exactly(captures):
     stop_below = 0.5e-6
     for tag, _, _, q in captures:
         n = q.shape[1]
-        dist, y, pivots, failed = _cone_distances(q, np.arange(n), DEFAULT_MAX_PIVOTS,
+        dist, y, pivots, failed = _cone_distances(q, q.T, np.arange(n), DEFAULT_MAX_PIVOTS,
                                                   stop_below)
         assert not failed.any(), tag
         for c in range(n):

@@ -15,12 +15,12 @@ import numpy as np
 
 from .baselines import idlg_single, min_column_attack
 from .defense import grad_drop, sign_sgd
-from .gm import ToyDecoder, gm_gradients, gm_objective, make_problem, reconstruct
+from .gm import gm_gradients, gm_objective, make_problem, reconstruct
 from .linalg import default_rank_tol, numeric_rank, svd
 from .metrics import length_error, set_score
 from .rlg import RlgConfig, rlg_attack
-from .simulator import (LATENT_KINDS, ProjectionState, Scenario, sample_latents,
-                        projection_grad, simulate_case)
+from .simulator import (LATENT_KINDS, Scenario, ToyDecoder, projection_grad,
+                        sample_latents, simulate_case)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def sign_structure(samples: int = 1000, d: int = 16, classes: int = 12,
                    seed: int = 101) -> CriterionResult:
     """Every simulated logit-gradient row is negative exactly at its label."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = ProjectionState(w=rng.normal(0.0, 0.1, (d, classes)),
-                            b=rng.normal(0.0, 0.1, classes))
+    layer = ToyDecoder(w=rng.normal(0.0, 0.1, (d, classes)),
+                       b=rng.normal(0.0, 0.1, classes))
     per_kind = samples // len(LATENT_KINDS)
     counts = [per_kind] * (len(LATENT_KINDS) - 1)
     counts.append(samples - sum(counts))
@@ -53,7 +53,7 @@ def sign_structure(samples: int = 1000, d: int = 16, classes: int = 12,
     for kind, count in zip(LATENT_KINDS, counts):
         h = sample_latents(rng, count, d, kind)
         y = rng.integers(0, classes, size=count)
-        _, g = projection_grad(h, y, state)
+        _, g = projection_grad(h, y, layer)
         neg = g < 0.0
         ok = ok and bool((neg.sum(axis=1) == 1).all())
         ok = ok and bool(neg[np.arange(count), y].all())

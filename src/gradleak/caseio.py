@@ -26,9 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .defense import DefenseSpec
-from .gm import ToyDecoder
 from .linalg import as_matrix
-from .simulator import GradientCase, ProjectionState, Scenario
+from .simulator import GradientCase, Scenario, ToyDecoder
 
 CASE_VERSION = 1
 GRD_MAGIC = b"GRD1"
@@ -164,10 +163,6 @@ def load_decoder(path: str) -> ToyDecoder:
     return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
                       b=np.asarray(doc["b"], dtype=np.float64),
                       pos=np.asarray(pos, dtype=np.float64) if pos is not None else None)
-
-
-def decoder_from_state(state: ProjectionState) -> ToyDecoder:
-    return ToyDecoder(w=state.w, b=state.b)
 
 
 def aggregate_report(per_case: list[dict]) -> dict:

@@ -20,9 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import bench as bench_mod
 from .baselines import idlg_single, min_column_attack
-from .caseio import (decoder_from_state, load_case, load_decoder, load_report,
-                     read_grd, save_case, save_decoder, save_report, write_grd,
-                     write_json_atomic)
+from .caseio import (_atomic_write_bytes, aggregate_report, load_case, load_decoder,
+                     load_report, read_grd, save_case, save_decoder, save_report,
+                     write_grd, write_json_atomic)
 from .defense import DefenseSpec, apply_defense
 from .gm import GMProblem, reconstruct
 from .metrics import length_error, set_score
@@ -115,27 +115,22 @@ def _cmd_simulate(args) -> int:
                         lrs=(args.lr,) * args.k if args.mode == "multistep" else None,
                         latent=args.latent, seed=s)
 
-    if args.count == 1:
-        path = args.out
-        if os.path.isdir(path):
-            path = os.path.join(path, f"case-{seed:08d}.json")
-        if not (args.skip_existing and os.path.exists(path)):
-            case = simulate_case(scenario_for(seed))
-            save_case(path, case)
-            if args.grd_out:
-                write_grd(args.grd_out, case.delta_w)
-        paths = [path]
-    else:
+    # one case goes to --out itself unless that is a directory
+    in_dir = args.count > 1 or os.path.isdir(args.out)
+    if args.count > 1:
         os.makedirs(args.out, exist_ok=True)
-        paths = []
-        for s in range(seed, seed + args.count):
-            path = os.path.join(args.out, f"case-{s:08d}.json")
-            paths.append(path)
-            if args.skip_existing and os.path.exists(path):
-                continue
-            save_case(path, simulate_case(scenario_for(s)))
+    paths = []
+    for s in range(seed, seed + args.count):
+        path = os.path.join(args.out, f"case-{s:08d}.json") if in_dir else args.out
+        paths.append(path)
+        if args.skip_existing and os.path.exists(path):
+            continue
+        case = simulate_case(scenario_for(s))
+        save_case(path, case)
+        if args.grd_out:
+            write_grd(args.grd_out, case.delta_w)
     if args.decoder_out:
-        save_decoder(args.decoder_out, decoder_from_state(initial_state(scenario_for(seed))))
+        save_decoder(args.decoder_out, initial_state(scenario_for(seed)))
     for p in paths:
         print(p)
     return 0
@@ -200,12 +195,11 @@ def _cmd_attack(args) -> int:
     else:
         per_case = _until_first_error(
             (_attack_one(path, opts) for path in args.cases), args.keep_going)
+    save_report(args.report, per_case, _config_echo(args))
     errored = [e for e in per_case if "error" in e]
     if errored and not args.keep_going:
-        save_report(args.report, per_case, _config_echo(args))
         print(f"error: {errored[0]['case_id']}: {errored[0]['error']}", file=sys.stderr)
         return 1
-    save_report(args.report, per_case, _config_echo(args))
     print(args.report)
     return 0 if not errored else 1
 
@@ -298,7 +292,6 @@ def _cmd_eval(args) -> int:
         attack = doc.get("config", {}).get("attack", "?")
         rows.append({"report": path, "attack": attack, **agg})
         merged.extend(doc["per_case"])
-    from .caseio import aggregate_report
     rows.append({"report": "ALL", "attack": "-", **aggregate_report(merged)})
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
@@ -309,15 +302,10 @@ def _cmd_eval(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        write_json_atomic(args.out, rows) if args.format == "json" else _write_text(args.out, text)
+        _atomic_write_bytes(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _write_text(path: str, text: str) -> None:
-    from .caseio import _atomic_write_bytes
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _cmd_bench(args) -> int:

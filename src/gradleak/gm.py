@@ -1,13 +1,16 @@
 """Toy-scale gradient-matching sequence reconstruction.
 
-The decoder is a single frozen projection layer, so the synthesized weight
+The decoder is the simulator's frozen projection layer
+(:class:`~gradleak.simulator.ToyDecoder`), so the synthesized weight
 gradient has the closed form
 
     D(A, P) = A^T (softmax(A W + b) - P~)
 
 where A holds one free context vector per sequence position and P~ is the
-smooth-label matrix expanded to all C classes (zeros outside the restricted
-label set when one is supplied).  Reconstruction minimizes
+smooth-label matrix P expanded to all C classes: P holds one column per
+searched label, and P~ is zero outside those columns.  The free problem is
+the restricted one over all C columns, so one forward pass serves both.
+Reconstruction minimizes
 
     || D(A, P) - target ||_F^2  +  lam * R(P),    R(P) = sum_i | ||p_i||_1 - 1 |,
 
@@ -15,84 +18,69 @@ by plain gradient descent from small random starts; the squared distance is
 optimized for smooth gradients while results report the plain Frobenius
 distance.  Restricting P's columns to a recovered label set shrinks the
 search from S*(d_A + C) to S*(d_A + |set|) variables and is the whole point.
+
+Descent schedule: the step size starts at LR_INIT and halves every
+LR_HALVE_EVERY steps down to LR_FLOOR; a run has converged once its
+transcript has not changed for STABLE_STEPS steps, and stops at the
+problem's max_steps either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import as_matrix
 from .metrics import wer
-from .simulator import _softmax_rows
+from .simulator import ToyDecoder, _softmax_rows
+
+LR_INIT = 0.05
+LR_HALVE_EVERY = 4000
+LR_FLOOR = 0.005
+STABLE_STEPS = 2000
 
 
-@dataclass(frozen=True)
-class ToyDecoder:
-    """Frozen projection weights standing in for the decoder.
+def _columns(bow: Optional[Sequence[int]], classes: int) -> np.ndarray:
+    """The searched label columns: the restricted set in order, or all C."""
+    if bow is None:
+        return np.arange(classes)
+    cols = np.array([int(c) for c in bow], dtype=np.int64)
+    if cols.size == 0:
+        raise ValueError("restricted label set must be non-empty when present")
+    if ((cols < 0) | (cols >= classes)).any():
+        raise ValueError("restricted label set out of range")
+    if np.unique(cols).size != cols.size:
+        raise ValueError("restricted label set must not repeat labels")
+    return cols
 
-    `pos`, when present, is a per-position logit offset (rows indexed by
-    sequence position) added on top of the shared bias.  It stands in for
-    the step-dependent state a real autoregressive decoder carries and is
-    what makes token ORDER recoverable: without it the matching objective
-    is exactly invariant under permuting sequence positions, so only the
-    multiset of labels could ever be identified.
-    """
 
-    w: np.ndarray  # d_a x C
-    b: np.ndarray  # C
-    pos: Optional[np.ndarray] = None  # max_len x C
-
-    def __post_init__(self):
-        w = as_matrix(self.w, "decoder weights")
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
-        if b.ndim != 1 or b.shape[0] != w.shape[1]:
-            raise ValueError(f"decoder bias must be 1-D of length {w.shape[1]}")
-        if not np.isfinite(b).all():
-            raise ValueError("decoder bias contains non-finite entries")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-        if self.pos is not None:
-            pos = as_matrix(self.pos, "decoder positional offsets")
-            if pos.shape[1] != w.shape[1]:
-                raise ValueError("positional offsets must have one column per class")
-            object.__setattr__(self, "pos", pos)
-
-    @property
-    def d_a(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.w.shape[1]
-
-    def logits(self, a: np.ndarray) -> np.ndarray:
-        z = a @ self.w + self.b
-        if self.pos is not None:
-            if a.shape[0] > self.pos.shape[0]:
-                raise ValueError(f"decoder supports sequences up to {self.pos.shape[0]}, "
-                                 f"got {a.shape[0]}")
-            z = z + self.pos[:a.shape[0]]
-        return z
+def _forward(a: np.ndarray, p: np.ndarray, dec: ToyDecoder,
+             cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # softmax(A W + b) and M = softmax - P~, with P~ zero outside `cols`
+    sm = _softmax_rows(dec.logits(a))
+    full = np.zeros_like(sm)
+    full[:, cols] = p
+    return sm, sm - full
 
 
 @dataclass(frozen=True)
 class GMProblem:
     """One reconstruction instance: target gradient, frozen decoder, length,
-    optional restricted label set, and the descent schedule."""
+    optional restricted label set, regularizer weight and step cap.
+
+    `cols` holds the searched label columns (the restricted set, or all C
+    classes) and is derived from `bow`.
+    """
 
     target_grad: np.ndarray
     decoder: ToyDecoder
     s: int
     bow: Optional[tuple[int, ...]] = None
     lam: float = 1.0
-    lr_init: float = 0.05
-    lr_halve_every: int = 4000
-    lr_floor: float = 0.005
-    stable_steps: int = 2000
     max_steps: int = 50000
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = as_matrix(self.target_grad, "target_grad")
@@ -103,19 +91,14 @@ class GMProblem:
             raise ValueError("sequence length must be >= 1")
         if self.lam < 0.0:
             raise ValueError("regularization weight must be >= 0")
+        cols = _columns(self.bow, self.decoder.classes)
+        object.__setattr__(self, "cols", cols)
         if self.bow is not None:
-            bow = tuple(int(c) for c in self.bow)
-            if not bow:
-                raise ValueError("restricted label set must be non-empty when present")
-            if any(c < 0 or c >= self.decoder.classes for c in bow):
-                raise ValueError("restricted label set out of range")
-            if len(set(bow)) != len(bow):
-                raise ValueError("restricted label set must not repeat labels")
-            object.__setattr__(self, "bow", bow)
+            object.__setattr__(self, "bow", tuple(cols.tolist()))
 
     @property
     def width(self) -> int:
-        return len(self.bow) if self.bow is not None else self.decoder.classes
+        return self.cols.size
 
     @property
     def n_vars(self) -> int:
@@ -150,39 +133,21 @@ def smooth_label_loss(a, p, dec: ToyDecoder, bow: Optional[Sequence[int]] = None
     """
     a = as_matrix(a, "context vectors")
     p = as_matrix(p, "smooth labels")
+    cols = _columns(bow, dec.classes)
+    if p.shape != (a.shape[0], cols.size):
+        raise ValueError(f"smooth labels must be {a.shape[0]} x {cols.size}")
     z = dec.logits(a)
     logp = z - z.max(axis=1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    if bow is not None:
-        cols = np.asarray(list(bow), dtype=np.int64)
-        if p.shape != (a.shape[0], cols.size):
-            raise ValueError(f"smooth labels must be {a.shape[0]} x {cols.size}")
-        return float(-(p * logp[:, cols]).sum())
-    if p.shape != z.shape:
-        raise ValueError(f"smooth labels must be {z.shape[0]} x {z.shape[1]}")
-    return float(-(p * logp).sum())
-
-
-def _expand(p: np.ndarray, prob: GMProblem) -> np.ndarray:
-    if prob.bow is None:
-        return p
-    full = np.zeros((p.shape[0], prob.decoder.classes))
-    full[:, list(prob.bow)] = p
-    return full
+    return float(-(p * logp[:, cols]).sum())
 
 
 def decoder_gradient(a, p, dec: ToyDecoder, bow: Optional[Sequence[int]] = None) -> np.ndarray:
     """Synthesized decoder weight gradient A^T (softmax(AW + b) - P~)."""
     a = as_matrix(a, "context vectors")
     p = as_matrix(p, "smooth labels")
-    resid = _softmax_rows(dec.logits(a))
-    if bow is not None:
-        cols = np.asarray(list(bow), dtype=np.int64)
-        resid = resid.copy()
-        resid[:, cols] -= p
-    else:
-        resid = resid - p
-    return a.T @ resid
+    _, m = _forward(a, p, dec, _columns(bow, dec.classes))
+    return a.T @ m
 
 
 def regularizer(p) -> float:
@@ -197,7 +162,10 @@ def gm_objective(a, p, prob: GMProblem) -> float:
     The ground-truth pair (context vectors, one-hot rows) that generated the
     target is a global minimizer with value 0.
     """
-    diff = decoder_gradient(a, p, prob.decoder, prob.bow) - prob.target_grad
+    a = as_matrix(a, "context vectors")
+    p = as_matrix(p, "smooth labels")
+    _, m = _forward(a, p, prob.decoder, prob.cols)
+    diff = a.T @ m - prob.target_grad
     return float((diff * diff).sum()) + prob.lam * regularizer(p)
 
 
@@ -206,22 +174,20 @@ def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Derivation: with M = softmax(Z) - P~ and E = A^T M - target, the distance
     term contributes 2 (M E^T + G W^T) to dA where G applies the per-row
-    softmax Jacobian to A E, and -2 A E (restricted to kept columns) to dP.
-    The regularizer contributes its subgradient lam * sign(||p_i||_1 - 1) *
-    sign(p_ij).
+    softmax Jacobian to A E, and -2 A E (restricted to the searched columns)
+    to dP.  The regularizer contributes its subgradient
+    lam * sign(||p_i||_1 - 1) * sign(p_ij).
     """
     a = as_matrix(a, "context vectors")
     p = as_matrix(p, "smooth labels")
     w = prob.decoder.w
-    sm = _softmax_rows(prob.decoder.logits(a))
-    m = sm - _expand(p, prob)
+    sm, m = _forward(a, p, prob.decoder, prob.cols)
     e = a.T @ m - prob.target_grad
     ae = a @ e
     row_dot = (ae * sm).sum(axis=1, keepdims=True)
     jac = sm * (ae - row_dot)
     grad_a = 2.0 * (m @ e.T + jac @ w.T)
-    grad_p_full = -2.0 * ae
-    grad_p = grad_p_full[:, list(prob.bow)] if prob.bow is not None else grad_p_full
+    grad_p = -2.0 * ae.take(prob.cols, axis=1)
     reg = prob.lam * np.sign(np.abs(p).sum(axis=1, keepdims=True) - 1.0) * np.sign(p)
     return grad_a, grad_p + reg
 
@@ -239,10 +205,7 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
 
 
 def _transcript(p: np.ndarray, prob: GMProblem) -> tuple[int, ...]:
-    idx = p.argmax(axis=1)
-    if prob.bow is not None:
-        return tuple(prob.bow[int(i)] for i in idx)
-    return tuple(int(i) for i in idx)
+    return tuple(prob.cols[p.argmax(axis=1)].tolist())
 
 
 def _single_run(prob: GMProblem, rng: np.random.Generator):
@@ -253,7 +216,7 @@ def _single_run(prob: GMProblem, rng: np.random.Generator):
     converged = False
     step = 0
     for step in range(1, prob.max_steps + 1):
-        lr = max(prob.lr_floor, prob.lr_init * 0.5 ** ((step - 1) // prob.lr_halve_every))
+        lr = max(LR_FLOOR, LR_INIT * 0.5 ** ((step - 1) // LR_HALVE_EVERY))
         with np.errstate(over="ignore", invalid="ignore"):
             ga, gp = gm_gradients(a, p, prob)
             a -= lr * ga
@@ -266,10 +229,11 @@ def _single_run(prob: GMProblem, rng: np.random.Generator):
         if current != transcript:
             transcript = current
             last_change = step
-        if step - last_change >= prob.stable_steps:
+        if step - last_change >= STABLE_STEPS:
             converged = True
             break
-    diff = decoder_gradient(a, p, prob.decoder, prob.bow) - prob.target_grad
+    _, m = _forward(a, p, prob.decoder, prob.cols)
+    diff = a.T @ m - prob.target_grad
     distance = float(np.sqrt((diff * diff).sum()))
     objective = distance * distance + prob.lam * regularizer(p)
     return transcript, distance, objective, step, converged

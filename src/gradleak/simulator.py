@@ -6,6 +6,11 @@ steps aggregated with per-step learning rates).  ``simulate_case`` samples
 latent inputs directly instead of running a backbone network, so the exact
 contributing labels are known and every attack can be scored against them.
 
+The layer is :class:`ToyDecoder`, logits A W + b (plus optional
+per-position offsets).  It is the package's one projection-layer class:
+``initial_state`` returns it, ``projection_grad`` differentiates through its
+``logits``, and ``gm`` reconstructs sequences through the same forward pass.
+
 PRNG contract: each case is a pure function of its scenario, drawn from a
 Philox counter-based stream keyed by the scenario seed.  Draw order is fixed:
 weights W (d x C, normal, std 0.1), bias b (C), then per step a latent block
@@ -93,24 +98,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ProjectionState:
-    """Weight and bias of the layer feeding the softmax."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        w = as_matrix(self.w, "w")
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
-        if b.ndim != 1 or b.shape[0] != w.shape[1]:
-            raise ValueError(f"bias must be 1-D of length {w.shape[1]}")
-        if not np.isfinite(b).all():
-            raise ValueError("bias contains non-finite entries")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class GradientCase:
     """A captured update with its hidden ground truth.
 
@@ -162,6 +149,57 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+@dataclass(frozen=True)
+class ToyDecoder:
+    """The frozen projection layer feeding the softmax: logits A W + b.
+
+    The simulator draws it from a scenario's stream and computes updates at
+    it; gradient matching reconstructs through it.  `pos`, when present, is
+    a per-position logit offset (rows indexed by sequence position) added on
+    top of the shared bias.  It stands in for the step-dependent state a
+    real autoregressive decoder carries and is what makes token ORDER
+    recoverable: without it the matching objective is exactly invariant
+    under permuting sequence positions, so only the multiset of labels
+    could ever be identified.
+    """
+
+    w: np.ndarray  # d_a x C
+    b: np.ndarray  # C
+    pos: Optional[np.ndarray] = None  # max_len x C
+
+    def __post_init__(self):
+        w = as_matrix(self.w, "decoder weights")
+        b = np.ascontiguousarray(self.b, dtype=np.float64)
+        if b.ndim != 1 or b.shape[0] != w.shape[1]:
+            raise ValueError(f"decoder bias must be 1-D of length {w.shape[1]}")
+        if not np.isfinite(b).all():
+            raise ValueError("decoder bias contains non-finite entries")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "b", b)
+        if self.pos is not None:
+            pos = as_matrix(self.pos, "decoder positional offsets")
+            if pos.shape[1] != w.shape[1]:
+                raise ValueError("positional offsets must have one column per class")
+            object.__setattr__(self, "pos", pos)
+
+    @property
+    def d_a(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def classes(self) -> int:
+        return self.w.shape[1]
+
+    def logits(self, a: np.ndarray) -> np.ndarray:
+        z = a @ self.w + self.b
+        if self.pos is not None:
+            if a.shape[0] > self.pos.shape[0]:
+                raise ValueError(f"decoder supports sequences up to {self.pos.shape[0]}, "
+                                 f"got {a.shape[0]}")
+            z = z + self.pos[:a.shape[0]]
+        return z
+
+
 def sample_latents(rng: np.random.Generator, count: int, d: int, kind: str) -> np.ndarray:
     """Draw a (count x d) latent block: half-normal, tanh-squashed, or normal."""
     x = rng.standard_normal((count, d))
@@ -174,23 +212,22 @@ def sample_latents(rng: np.random.Generator, count: int, d: int, kind: str) -> n
     raise ValueError(f"unknown latent kind {kind!r}")
 
 
-def projection_grad(h, labels, state: ProjectionState) -> tuple[np.ndarray, np.ndarray]:
+def projection_grad(h, labels, layer: ToyDecoder) -> tuple[np.ndarray, np.ndarray]:
     """Averaged projection-layer weight update for latent rows `h`.
 
     Row i of the returned G is the logit gradient of sample i at the given
-    state; delta_w = (H/n)^T G where n = number of rows.  The bias gradient
+    layer; delta_w = (H/n)^T G where n = number of rows.  The bias gradient
     is not produced (the attacks only consume delta_w).
     """
     h = as_matrix(h, "latents")
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != h.shape[0]:
         raise ValueError(f"need one label per latent row, got {y.shape} for {h.shape[0]} rows")
-    if h.shape[1] != state.w.shape[0]:
-        raise ValueError(f"latent dimension {h.shape[1]} does not match weights {state.w.shape}")
-    if (y < 0).any() or (y >= state.w.shape[1]).any():
+    if h.shape[1] != layer.d_a:
+        raise ValueError(f"latent dimension {h.shape[1]} does not match weights {layer.w.shape}")
+    if (y < 0).any() or (y >= layer.classes).any():
         raise ValueError("labels out of range")
-    logits = h @ state.w + state.b
-    g = _softmax_rows(logits)
+    g = _softmax_rows(layer.logits(h))
     g[np.arange(h.shape[0]), y] -= 1.0
     delta_w = (h / h.shape[0]).T @ g
     return delta_w, g
@@ -204,12 +241,17 @@ def _check_sign_structure(g: np.ndarray, y: np.ndarray) -> None:
         raise RuntimeError("generated logit gradients violate the single-negative sign structure")
 
 
-def initial_state(sc: Scenario) -> ProjectionState:
-    """The projection weights a scenario starts from (first draws of its stream)."""
+def _stream_head(sc: Scenario) -> tuple[np.random.Generator, ToyDecoder]:
+    # the PRNG contract's first draws: W, then b; the stream goes on from here
     rng = np.random.Generator(np.random.Philox(key=sc.seed))
     w = rng.normal(0.0, INIT_STD, size=(sc.d, sc.classes))
     b = rng.normal(0.0, INIT_STD, size=sc.classes)
-    return ProjectionState(w=w, b=b)
+    return rng, ToyDecoder(w=w, b=b)
+
+
+def initial_state(sc: Scenario) -> ToyDecoder:
+    """The projection layer a scenario starts from (first draws of its stream)."""
+    return _stream_head(sc)[1]
 
 
 def simulate_case(sc: Scenario) -> GradientCase:
@@ -220,9 +262,7 @@ def simulate_case(sc: Scenario) -> GradientCase:
     aggregate sum of the per-step scaled updates; the returned delta_w is
     the single product H^T G of the stacked per-step blocks.
     """
-    rng = np.random.Generator(np.random.Philox(key=sc.seed))
-    w = rng.normal(0.0, INIT_STD, size=(sc.d, sc.classes))
-    b = rng.normal(0.0, INIT_STD, size=sc.classes)
+    rng, layer = _stream_head(sc)
     lrs = sc.step_lrs()
 
     h_blocks = []
@@ -234,11 +274,11 @@ def simulate_case(sc: Scenario) -> GradientCase:
             y = np.asarray(sc.labels[step * sc.n:(step + 1) * sc.n], dtype=np.int64)
         else:
             y = rng.integers(0, sc.classes, size=sc.n)
-        step_dw, g = projection_grad(h, y, ProjectionState(w, b))
+        step_dw, g = projection_grad(h, y, layer)
         _check_sign_structure(g, y)
         hs = h / sc.n
         if sc.mode == "multistep":
-            w = w - lrs[step] * step_dw
+            layer = ToyDecoder(w=layer.w - lrs[step] * step_dw, b=layer.b)
             hs = lrs[step] * hs
         h_blocks.append(hs)
         g_blocks.append(g)

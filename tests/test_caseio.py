@@ -4,9 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from gradleak.caseio import (aggregate_report, decoder_from_state, load_case,
-                             load_decoder, load_report, read_grd, save_case,
-                             save_decoder, save_report, write_grd)
+from gradleak.caseio import (aggregate_report, load_case, load_decoder, load_report,
+                             read_grd, save_case, save_decoder, save_report, write_grd)
 from gradleak.defense import DefenseSpec
 from gradleak.gm import ToyDecoder
 from gradleak.simulator import Scenario, initial_state, simulate_case
@@ -89,13 +88,13 @@ def test_grd_rejects_corruption(tmp_path):
 
 
 def test_decoder_round_trip(tmp_path):
-    state = initial_state(Scenario(d=5, classes=4, mode="sequence", n=2, seed=77))
-    dec = decoder_from_state(state)
+    dec = initial_state(Scenario(d=5, classes=4, mode="sequence", n=2, seed=77))
     path = str(tmp_path / "dec.json")
     save_decoder(path, dec)
     back = load_decoder(path)
     assert back.w.tobytes() == dec.w.tobytes()
     assert back.b.tobytes() == dec.b.tobytes()
+    assert back.pos is None
 
 
 def test_decoder_positional_offsets_round_trip(tmp_path):

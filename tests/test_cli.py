@@ -52,6 +52,31 @@ def test_simulate_skip_existing(tmp_path):
     assert os.path.getmtime(first) == stamp
 
 
+def test_simulate_single_into_directory_skip_existing(tmp_path, capsys):
+    out_dir = tmp_path / "cases"
+    out_dir.mkdir()
+    argv = ["simulate", "--mode", "single", "--d", "4", "--classes", "3",
+            "--seed", "7", "--out", str(out_dir)]
+    path = out_dir / "case-00000007.json"
+    first_grd = tmp_path / "first.grd"
+    assert main(argv + ["--grd-out", str(first_grd)]) == 0
+    assert capsys.readouterr().out.split() == [str(path)]
+    assert os.listdir(out_dir) == [path.name]
+    assert read_grd(str(first_grd)).tobytes() == load_case(str(path)).case.delta_w.tobytes()
+
+    # an existing file is kept, and no sidecar is written for a skipped case
+    path.write_text("kept")
+    skipped_grd = tmp_path / "skipped.grd"
+    assert main(argv + ["--skip-existing", "--grd-out", str(skipped_grd)]) == 0
+    assert capsys.readouterr().out.split() == [str(path)]
+    assert path.read_text() == "kept"
+    assert not skipped_grd.exists()
+
+    # without --skip-existing the case is written again
+    assert main(argv) == 0
+    assert load_case(str(path)).case.scenario.seed == 7
+
+
 def test_attack_rlg_with_true_s_and_report_fields(tmp_path):
     out_dir = str(tmp_path / "cases")
     report = str(tmp_path / "report.json")

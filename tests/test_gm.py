@@ -125,6 +125,29 @@ def test_gradients_match_finite_differences(restricted, pos_std):
     assert np.linalg.norm(num - an) / np.linalg.norm(an) <= 1e-5
 
 
+def test_free_problem_is_restriction_to_all_columns():
+    # the unrestricted search is the restricted one over all C columns, bit for bit
+    dec = small_decoder(seed=21, pos_std=1.0)
+    rng = np.random.default_rng(22)
+    labels = [5, 1, 6]
+    context = rng.normal(size=(3, 5))
+    free = make_problem(dec, context, labels, lam=0.5, max_steps=300)
+    full = make_problem(dec, context, labels, bow=tuple(range(8)), lam=0.5, max_steps=300)
+    assert free.bow is None and full.bow == tuple(range(8))
+    a = rng.normal(0.0, 0.7, (3, 5))
+    p = rng.normal(0.0, 0.7, (3, 8))
+    for x, y in zip(gm_gradients(a, p, free), gm_gradients(a, p, full)):
+        assert x.tobytes() == y.tobytes()
+    assert gm_objective(a, p, free).hex() == gm_objective(a, p, full).hex()
+    assert (decoder_gradient(a, p, dec).tobytes()
+            == decoder_gradient(a, p, dec, full.bow).tobytes())
+    res_free = reconstruct(free, seed=4, restarts=2, truth=labels)
+    res_full = reconstruct(full, seed=4, restarts=2, truth=labels)
+    assert res_free == res_full
+    assert res_free.final_loss.hex() == res_full.final_loss.hex()
+    assert res_free.objective.hex() == res_full.objective.hex()
+
+
 def test_problem_validation():
     dec = small_decoder()
     with pytest.raises(ValueError):
@@ -135,6 +158,10 @@ def test_problem_validation():
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=())
     with pytest.raises(ValueError):
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(1, 1))
+    with pytest.raises(ValueError):
+        GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(2, 8))
+    with pytest.raises(ValueError):
+        GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(-1,))
     with pytest.raises(ValueError):
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, lam=-0.5)
 
@@ -174,7 +201,7 @@ def test_non_converged_flag_on_tiny_cap():
     rng = np.random.default_rng(18)
     labels = [0, 3, 7]
     prob = make_problem(dec, rng.normal(size=(3, 5)), labels, bow=(0, 3, 7),
-                        max_steps=5, stable_steps=2000)
+                        max_steps=5)
     res = reconstruct(prob, seed=1, restarts=1)
     assert not res.converged
     assert res.steps == 5

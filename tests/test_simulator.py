@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
-from gradleak.simulator import (GradientCase, ProjectionState, Scenario,
-                                ce_logit_grad, initial_state, projection_grad,
-                                sample_latents, simulate_case, softmax)
+from gradleak.simulator import (GradientCase, Scenario, ToyDecoder, ce_logit_grad,
+                                initial_state, projection_grad, sample_latents,
+                                simulate_case, softmax)
 
 
 def naive_softmax(z):
@@ -52,7 +52,7 @@ def test_ce_logit_grad_label_out_of_range():
 
 
 def test_projection_grad_uniform_single():
-    state = ProjectionState(w=np.zeros((2, 3)), b=np.zeros(3))
+    state = ToyDecoder(w=np.zeros((2, 3)), b=np.zeros(3))
     delta_w, g = projection_grad([[1.0, 0.0]], [1], state)
     assert np.allclose(delta_w, [[1 / 3, -2 / 3, 1 / 3], [0.0, 0.0, 0.0]], atol=1e-15)
     assert g.shape == (1, 3)
@@ -60,7 +60,7 @@ def test_projection_grad_uniform_single():
 
 def test_projection_grad_single_sample_rank_one():
     rng = np.random.default_rng(8)
-    state = ProjectionState(w=rng.normal(0, 0.1, (6, 4)), b=rng.normal(0, 0.1, 4))
+    state = ToyDecoder(w=rng.normal(0, 0.1, (6, 4)), b=rng.normal(0, 0.1, 4))
     delta_w, _ = projection_grad(rng.normal(size=(1, 6)), [2], state)
     assert numeric_rank(svd(delta_w).singular, default_rank_tol(6, 4), max_dim=6) == 1
 
@@ -68,7 +68,7 @@ def test_projection_grad_single_sample_rank_one():
 def test_projection_grad_matches_per_sample_average():
     rng = np.random.default_rng(11)
     d, c, s = 8, 10, 3
-    state = ProjectionState(w=rng.normal(0, 0.1, (d, c)), b=rng.normal(0, 0.1, c))
+    state = ToyDecoder(w=rng.normal(0, 0.1, (d, c)), b=rng.normal(0, 0.1, c))
     h = rng.normal(size=(s, d))
     y = [4, 0, 7]
     delta_w, _ = projection_grad(h, y, state)
@@ -82,7 +82,7 @@ def test_projection_grad_matches_per_sample_average():
 
 
 def test_projection_grad_dimension_mismatch():
-    state = ProjectionState(w=np.zeros((2, 3)), b=np.zeros(3))
+    state = ToyDecoder(w=np.zeros((2, 3)), b=np.zeros(3))
     with pytest.raises(ValueError):
         projection_grad([[1.0, 0.0]], [0, 1], state)
     with pytest.raises(ValueError):

@@ -17,8 +17,7 @@ from .metrics import SetScore, length_error, set_score, wer
 from .rlg import (DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
                   LpSingularBasisError, RankAssumptionError, RlgConfig, extract_q,
                   lp_feasible, lp_separator, rlg_attack, screen)
-from .simulator import (GradientCase, Scenario, ToyDecoder, ce_logit_grad,
-                        initial_state, projection_grad, sample_latents,
-                        simulate_case, softmax)
+from .simulator import (GradientCase, Scenario, ToyDecoder, initial_state,
+                        projection_grad, sample_latents, simulate_case)
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .linalg import as_matrix, default_rank_tol, numeric_rank, svd
-from .rlg import FEASIBLE, INFEASIBLE, LabelSetPrediction
+from .rlg import LabelSetPrediction
 
 
 class NotSingleSampleError(ValueError):
@@ -26,7 +26,7 @@ def idlg_single(delta_w) -> int:
     signature raises NotSingleSampleError.
     """
     a = as_matrix(delta_w, "delta_w")
-    rank = numeric_rank(svd(a).singular, default_rank_tol(*a.shape), max_dim=max(a.shape))
+    rank = numeric_rank(svd(a).singular, default_rank_tol(*a.shape))
     if rank != 1:
         warnings.warn(f"update has numeric rank {rank}, not 1; single-sample "
                       "recovery is unreliable", RuntimeWarning, stacklevel=2)
@@ -54,8 +54,5 @@ def min_column_attack(delta_w) -> LabelSetPrediction:
     size of the recovered set.
     """
     a = as_matrix(delta_w, "delta_w")
-    negative = (a.min(axis=0) < 0.0)
-    statuses = {c: (FEASIBLE if negative[c] else INFEASIBLE) for c in range(a.shape[1])}
-    labels = frozenset(int(c) for c in np.flatnonzero(negative))
-    return LabelSetPrediction(inferred_s=len(labels), labels=labels,
-                              per_label_status=statuses)
+    labels = frozenset(np.flatnonzero(a.min(axis=0) < 0.0).tolist())
+    return LabelSetPrediction(inferred_s=len(labels), labels=labels)

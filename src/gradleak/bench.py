@@ -72,8 +72,7 @@ def rank_inference(seed: int = 202) -> CriterionResult:
             sc = Scenario(d=64, classes=100, mode="batch", n=s, latent="gauss",
                           seed=seed * 100000 + s * 100 + i)
             case = simulate_case(sc)
-            rank = numeric_rank(svd(case.delta_w).singular,
-                                default_rank_tol(64, 100), max_dim=100)
+            rank = numeric_rank(svd(case.delta_w).singular, default_rank_tol(64, 100))
             matches += int(rank == s)
             total += 1
     le_by_k = {}
@@ -83,8 +82,7 @@ def rank_inference(seed: int = 202) -> CriterionResult:
             sc = Scenario(d=64, classes=100, mode="multistep", n=10, k=k,
                           latent="gauss", seed=seed * 1000 + k * 50 + i)
             case = simulate_case(sc)
-            rank = numeric_rank(svd(case.delta_w).singular,
-                                default_rank_tol(64, 100), max_dim=100)
+            rank = numeric_rank(svd(case.delta_w).singular, default_rank_tol(64, 100))
             errs.append(length_error(rank, case.true_s))
         le_by_k[k] = sum(errs) / len(errs)
     passed = matches >= 99 and le_by_k[8] > 0.0 and le_by_k[8] >= le_by_k[4]

@@ -20,6 +20,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +57,23 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def write_json_atomic(path: str, obj) -> None:
     _atomic_write_bytes(path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+
+
+@contextmanager
+def _document(path: str):
+    """The JSON document at `path`, for the `with` body to read.  Text that
+    is not JSON, a missing key, a value of the wrong type and any ValueError
+    the body raises all come out as one ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        yield doc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: wrongly typed value ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _scenario_to_dict(sc: Scenario) -> dict:
@@ -99,26 +117,25 @@ def save_case(path: str, case: GradientCase,
 
 
 def load_case(path: str) -> CaseFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("version")
-    if version != CASE_VERSION:
-        raise ValueError(f"{path}: unrecognized case version {version!r}")
-    delta_w = as_matrix(doc["delta_w"], "delta_w")
-    if delta_w.shape != (int(doc["d"]), int(doc["C"])):
-        raise ValueError(f"{path}: delta_w shape {delta_w.shape} does not match "
-                         f"declared ({doc['d']}, {doc['C']})")
-    scenario = _scenario_from_dict(doc["scenario"])
-    labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
-    vocab = None
-    if doc.get("vocab") is not None:
-        vocab = {int(k): str(v) for k, v in doc["vocab"].items()}
-    case = GradientCase(scenario=scenario, delta_w=delta_w, true_labels=labels, vocab=vocab)
-    defense = None
-    if doc.get("defense_applied") is not None:
-        spec = doc["defense_applied"]
-        defense = DefenseSpec(kind=str(spec["kind"]), rate=float(spec.get("rate", 0.0)))
-    return CaseFile(case=case, defense_applied=defense)
+    with _document(path) as doc:
+        version = doc.get("version")
+        if version != CASE_VERSION:
+            raise ValueError(f"unrecognized case version {version!r}")
+        delta_w = as_matrix(doc["delta_w"], "delta_w")
+        if delta_w.shape != (int(doc["d"]), int(doc["C"])):
+            raise ValueError(f"delta_w shape {delta_w.shape} does not match "
+                             f"declared ({doc['d']}, {doc['C']})")
+        scenario = _scenario_from_dict(doc["scenario"])
+        labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
+        vocab = None
+        if doc.get("vocab") is not None:
+            vocab = {int(k): str(v) for k, v in doc["vocab"].items()}
+        case = GradientCase(scenario=scenario, delta_w=delta_w, true_labels=labels, vocab=vocab)
+        defense = None
+        if doc.get("defense_applied") is not None:
+            spec = doc["defense_applied"]
+            defense = DefenseSpec(kind=str(spec["kind"]), rate=float(spec.get("rate", 0.0)))
+        return CaseFile(case=case, defense_applied=defense)
 
 
 def write_grd(path: str, delta_w) -> None:
@@ -155,14 +172,13 @@ def save_decoder(path: str, decoder: ToyDecoder) -> None:
 
 
 def load_decoder(path: str) -> ToyDecoder:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"{path}: unrecognized decoder version")
-    pos = doc.get("pos")
-    return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
-                      b=np.asarray(doc["b"], dtype=np.float64),
-                      pos=np.asarray(pos, dtype=np.float64) if pos is not None else None)
+    with _document(path) as doc:
+        if doc.get("version") != 1:
+            raise ValueError("unrecognized decoder version")
+        pos = doc.get("pos")
+        return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
+                          b=np.asarray(doc["b"], dtype=np.float64),
+                          pos=np.asarray(pos, dtype=np.float64) if pos is not None else None)
 
 
 def aggregate_report(per_case: list[dict]) -> dict:
@@ -194,8 +210,9 @@ def save_report(path: str, per_case: list[dict], config: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"{path}: unrecognized report version")
-    return doc
+    with _document(path) as doc:
+        if doc.get("version") != 1:
+            raise ValueError("unrecognized report version")
+        if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
+            raise TypeError("per_case must be a list and aggregate an object")
+        return doc

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from . import bench as bench_mod
 from .baselines import idlg_single, min_column_attack
@@ -34,7 +35,10 @@ def _default_seed() -> int:
     return int(os.environ.get("GRADLEAK_SEED", "0"))
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process and reused by every `main` call: building takes
+    # ~30 times as long as a parse, and parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(prog="gradleak",
                                      description="label leakage lab for projection-layer updates")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -328,7 +332,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,17 +103,16 @@ def _orthonormal_fill(u: np.ndarray, k: int) -> None:
             x[i:] -= np.outer(tau[i] * v, v @ x[i:])
 
 
-def svd(m, *, max_sweeps: int = JACOBI_SWEEP_CAP,
-        rotation_tol: float = JACOBI_ROTATION_TOL) -> SvdResult:
+def svd(m) -> SvdResult:
     """One-sided Jacobi SVD of a dense real matrix.
 
     The shorter side's columns are orthogonalized by plane rotations applied
     round by round over disjoint pairs; a sweep visits every pair once.
-    Convergence requires |<u, v>| <= rotation_tol * |u| |v| for every pair of
-    columns over a full sweep.  Raises :class:`SvdConvergenceError` with the
-    sweep count if `max_sweeps` is exhausted first.
+    Convergence requires |<u, v>| <= JACOBI_ROTATION_TOL * |u| |v| for every
+    pair of columns over a full sweep.  Raises :class:`SvdConvergenceError`
+    with the sweep count if JACOBI_SWEEP_CAP sweeps are exhausted first.
 
-    Columns whose norm falls below max(rows, cols) * eps relative to the
+    Columns whose norm falls below default_rank_tol(rows, cols) relative to the
     largest are numerically null: their singular values are the computed
     residual norms but their directions are replaced by a deterministic
     orthonormal completion of the live ones, taken in one pass from the
@@ -146,9 +145,9 @@ def svd(m, *, max_sweeps: int = JACOBI_SWEEP_CAP,
         rounds = _round_robin(n)
         # pairs at or below half the rotation tolerance are screened out per
         # sweep via the Gram matrix; the margin absorbs dot-product rounding
-        screen_tol = 0.5 * rotation_tol
-        null_cut = max(rows, cols) * EPS
-        for sweep in range(max_sweeps):
+        screen_tol = 0.5 * JACOBI_ROTATION_TOL
+        null_cut = default_rank_tol(rows, cols)
+        for sweep in range(JACOBI_SWEEP_CAP):
             gram = work.T @ work
             norms = np.sqrt(np.diag(gram))
             scale = np.outer(norms, norms)
@@ -196,7 +195,7 @@ def svd(m, *, max_sweeps: int = JACOBI_SWEEP_CAP,
                 v[:, pj] = c * vp - s * vq
                 v[:, qj] = s * vp + c * vq
         else:
-            raise SvdConvergenceError(max_sweeps)
+            raise SvdConvergenceError(JACOBI_SWEEP_CAP)
 
     sig = np.sqrt(np.einsum("ij,ij->j", work, work))
     order = np.argsort(-sig, kind="stable")
@@ -206,7 +205,7 @@ def svd(m, *, max_sweeps: int = JACOBI_SWEEP_CAP,
 
     # sig is non-increasing, so the live columns are a prefix
     u = np.zeros_like(work)
-    k = int(np.count_nonzero(sig > max(rows, cols) * EPS * (sig[0] if sig.size else 0.0)))
+    k = numeric_rank(sig, default_rank_tol(rows, cols))
     u[:, :k] = work[:, :k] / sig[:k]
     if k < n:
         _orthonormal_fill(u, k)
@@ -230,13 +229,12 @@ def default_rank_tol(rows: int, cols: int) -> float:
     return max(rows, cols) * EPS
 
 
-def numeric_rank(singular, tol_rel: float | None = None, *,
-                 max_dim: int | None = None) -> int:
+def numeric_rank(singular, tol_rel: float) -> int:
     """Count singular values above tol_rel * singular[0].
 
-    `singular` must be non-negative and non-increasing.  When `tol_rel` is
-    omitted it defaults to max_dim * eps (or len(singular) * eps if `max_dim`
-    is not given).  A zero leading singular value means rank 0.
+    `singular` must be non-negative and non-increasing, and `tol_rel`
+    positive; the usual cutoff for a d x C matrix is default_rank_tol(d, C).
+    A zero leading singular value means rank 0.
     """
     s = np.asarray(singular, dtype=np.float64)
     if s.ndim != 1:
@@ -247,8 +245,6 @@ def numeric_rank(singular, tol_rel: float | None = None, *,
         raise ValueError("singular values must be non-negative")
     if (s[1:] > s[:-1]).any():
         raise ValueError("singular values must be non-increasing")
-    if tol_rel is None:
-        tol_rel = (max_dim if max_dim is not None else s.size) * EPS
     if tol_rel <= 0.0:
         raise ValueError("tol_rel must be positive")
     if s[0] == 0.0:

@@ -6,17 +6,17 @@ with the same LP restricted to the largest-norm columns (only when C
 exceeds that anchor count), then decide per-label membership by
 linear-programming feasibility.  The surviving labels' LPs are solved
 together in lockstep; each label's decision is the one a solve of its own
-would give.  A label c is kept when some vector r in the box
-|r_k| <= lp_box_bound satisfies
+would give.  A label c is kept when some vector r in the unit box
+|r_k| <= 1 satisfies
 
-    r . q_c <= -lp_margin      and      r . q_j >= 0  for every j != c,
+    r . q_c <= -LP_MARGIN      and      r . q_j >= 0  for every j != c,
 
 i.e. the column q_c can be strictly separated from all other columns by a
-hyperplane through the origin.  The margin and box make the homogeneous
-separation problem a bounded, decidable feasibility question: by LP duality
-it holds exactly when
+hyperplane through the origin.  The fixed margin LP_MARGIN and the unit
+box make the homogeneous separation problem a bounded, decidable
+feasibility question: by LP duality it holds exactly when
 
-    lp_box_bound * min{ ||q_c - sum_j lam_j q_j||_1 : lam >= 0 } >= lp_margin,
+    min{ ||q_c - sum_j lam_j q_j||_1 : lam >= 0 } >= LP_MARGIN,
 
 and that inner minimization is a phase-1 simplex problem (the L1 slack pair
 doubles as the artificial basis) solved here with Bland's rule, which cannot
@@ -33,9 +33,7 @@ import numpy as np
 
 from .linalg import as_matrix, default_rank_tol, numeric_rank, svd
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
+LP_MARGIN = 1e-6  # strict separation a kept label needs, in the unit box
 DEGENERATE_FLOOR = 1e-30
 DEFAULT_MAX_PIVOTS = 5000
 _RCOST_TOL = 1e-12
@@ -77,46 +75,34 @@ class LpSingularBasisError(RuntimeError):
 
 @dataclass(frozen=True)
 class RlgConfig:
-    """Attack knobs.
+    """How the attack reads S off the update; the label decision itself has
+    no knobs (LP_MARGIN in the unit box, see the module docstring).
 
     rank_tol_rel: relative singular-value cutoff for rank inference (None
-    uses the dimension-scaled machine-epsilon default).  assume_s overrides
-    rank inference entirely.  lp_margin and lp_box_bound fix the strict
-    separation a kept label needs (see the module docstring).
+    uses `default_rank_tol`, max(d, C) * eps).  assume_s overrides rank
+    inference entirely.
     """
 
     rank_tol_rel: Optional[float] = None
     assume_s: Optional[int] = None
-    lp_margin: float = 1e-6
-    lp_box_bound: float = 1.0
 
     def __post_init__(self):
         if self.rank_tol_rel is not None and self.rank_tol_rel <= 0.0:
             raise ValueError("rank_tol_rel must be positive")
-        if self.lp_margin <= 0.0:
-            raise ValueError("lp_margin must be positive")
-        if self.lp_box_bound <= 0.0:
-            raise ValueError("lp_box_bound must be positive")
 
 
 @dataclass(frozen=True)
 class LabelSetPrediction:
-    """Inferred sample count plus the recovered label set.
+    """Inferred sample count plus the recovered label set; a label outside
+    `labels` was decided infeasible.
 
-    `labels` is exactly the set of labels whose status is "feasible".
     `rank_estimate` records the numeric-rank reading even when an assumed S
     was used.
     """
 
     inferred_s: int
     labels: frozenset[int]
-    per_label_status: dict[int, str]
     rank_estimate: Optional[int] = None
-
-    def __post_init__(self):
-        feasible = frozenset(c for c, st in self.per_label_status.items() if st == FEASIBLE)
-        if feasible != self.labels:
-            raise ValueError("labels must equal the feasible entries of per_label_status")
 
 
 def _extract(a: np.ndarray, cfg: RlgConfig) -> tuple[int, np.ndarray, int]:
@@ -125,7 +111,7 @@ def _extract(a: np.ndarray, cfg: RlgConfig) -> tuple[int, np.ndarray, int]:
     d, c = a.shape
     res = svd(a)
     tol = cfg.rank_tol_rel if cfg.rank_tol_rel is not None else default_rank_tol(d, c)
-    rank = numeric_rank(res.singular, tol, max_dim=max(d, c))
+    rank = numeric_rank(res.singular, tol)
     if cfg.assume_s is not None:
         if not (1 <= cfg.assume_s <= min(d, c) - 1):
             raise ValueError(f"assume_s must lie in [1, {min(d, c) - 1}], got {cfg.assume_s}")
@@ -286,38 +272,36 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
     return dist, y_out, pivots_out, failed
 
 
-def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
-              cfg: RlgConfig, max_pivots: int):
-    """_cone_distances stopped at half the decision threshold, run over
-    chunks of targets that bound the (targets, n_cols) pricing array and the
-    (targets, s, s) basis stacks."""
+def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
+    """_cone_distances stopped at half the decision threshold and capped at
+    DEFAULT_MAX_PIVOTS, run over chunks of targets that bound the
+    (targets, n_cols) pricing array and the (targets, s, s) basis stacks."""
     s, n_cols = gens.shape
     per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
-    stop_below = 0.5 * cfg.lp_margin / cfg.lp_box_bound
     # no targets still makes one (empty) chunk, so the outputs keep their types
     parts = [_cone_distances(gens, targets[lo:lo + per], own[lo:lo + per],
-                             max_pivots, stop_below)
+                             DEFAULT_MAX_PIVOTS, 0.5 * LP_MARGIN)
              for lo in range(0, max(own.size, 1), per)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _solve_labels(q: np.ndarray, labels: np.ndarray, cfg: RlgConfig,
-                  max_pivots: int, cap_as_infeasible: bool) -> tuple[np.ndarray, np.ndarray]:
+def _solve_labels(q: np.ndarray, labels: np.ndarray,
+                  cap_as_infeasible: bool) -> tuple[np.ndarray, np.ndarray]:
     """Decide labels (ascending columns of q) together; returns the feasible
-    mask and each label's separator candidate -lp_box_bound * y.
+    mask and each label's separator candidate -y.
 
     Failures are raised for the lowest failing label, as a label-by-label
     loop would: a singular basis always, a pivot-cap hit unless
     `cap_as_infeasible` makes it an infeasible decision.
     """
-    dist, y, pivots, failed = _lockstep(q, q[:, labels].T, labels, cfg, max_pivots)
+    dist, y, pivots, failed = _lockstep(q, q[:, labels].T, labels)
     for i in np.flatnonzero(failed):
         if failed[i] == _SINGULAR:
             raise LpSingularBasisError(int(pivots[i]))
         if not cap_as_infeasible:
             raise LpPivotLimitError(int(pivots[i]))
-    feasible = (cfg.lp_box_bound * dist >= cfg.lp_margin) & (failed == 0)
-    return feasible, -cfg.lp_box_bound * y
+    feasible = (dist >= LP_MARGIN) & (failed == 0)
+    return feasible, -y
 
 
 def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,33 +311,30 @@ def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
     return q, np.array([c], dtype=np.intp)
 
 
-def lp_feasible(q, c: int, cfg: RlgConfig = RlgConfig(), *,
-                cap_as_infeasible: bool = False,
-                max_pivots: int = DEFAULT_MAX_PIVOTS) -> bool:
+def lp_feasible(q, c: int, *, cap_as_infeasible: bool = False) -> bool:
     """Decide whether label column c is strictly separable from the rest.
 
-    A pivot-cap overrun raises LpPivotLimitError unless the caller opts into
+    A run past DEFAULT_MAX_PIVOTS pivots raises LpPivotLimitError unless the caller opts into
     treating it as infeasible via `cap_as_infeasible`.  A singular basis at
     refactorisation raises LpSingularBasisError either way.
     """
     q, labels = _one_label(q, c)
-    feasible, _ = _solve_labels(q, labels, cfg, max_pivots, cap_as_infeasible)
+    feasible, _ = _solve_labels(q, labels, cap_as_infeasible)
     return bool(feasible[0])
 
 
-def lp_separator(q, c: int, cfg: RlgConfig = RlgConfig(), *,
-                 max_pivots: int = DEFAULT_MAX_PIVOTS) -> Optional[np.ndarray]:
+def lp_separator(q, c: int) -> Optional[np.ndarray]:
     """Return an explicit separating vector r for label c, or None.
 
-    When not None, r satisfies r . q_c <= -lp_margin, r . q_j >= 0 for all
-    j != c, and |r|_inf <= lp_box_bound (up to solver tolerance).
+    When not None, r satisfies r . q_c <= -LP_MARGIN, r . q_j >= 0 for all
+    j != c, and |r|_inf <= 1 (up to solver tolerance).
     """
     q, labels = _one_label(q, c)
-    feasible, r = _solve_labels(q, labels, cfg, max_pivots, False)
+    feasible, r = _solve_labels(q, labels, False)
     return r[0] if feasible[0] else None
 
 
-def screen(q, cfg: RlgConfig = RlgConfig()) -> set[int]:
+def screen(q) -> set[int]:
     """Sound pre-filter over label columns: the labels the full LP may keep.
 
     Every label's LP is first solved against only the _SCREEN_ANCHORS
@@ -376,29 +357,26 @@ def screen(q, cfg: RlgConfig = RlgConfig()) -> set[int]:
     gens[:, :-1] = q[:, anchors]
     own = np.full(n_cols, _SCREEN_ANCHORS)
     own[anchors] = np.arange(_SCREEN_ANCHORS)
-    dist, _, _, failed = _lockstep(gens, q.T, own, cfg, DEFAULT_MAX_PIVOTS)
-    rejected = (failed == 0) & (cfg.lp_box_bound * dist < cfg.lp_margin)
+    dist, _, _, failed = _lockstep(gens, q.T, own)
+    rejected = (failed == 0) & (dist < LP_MARGIN)
     return set(np.flatnonzero(~rejected).tolist())
 
 
 def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig(), *,
-               cap_as_infeasible: bool = False,
-               max_pivots: int = DEFAULT_MAX_PIVOTS) -> LabelSetPrediction:
+               cap_as_infeasible: bool = False) -> LabelSetPrediction:
     """Full pipeline: rank inference, right-singular extraction, the screen,
     and per-label LP feasibility.
 
     The screen's survivors run their full LPs together in lockstep, and each
     decision is the one `lp_feasible` gives for that label alone, so the
     result does not depend on which labels are solved together.  A label
-    the screen drops is infeasible by proof, and its status says so.  A
+    the screen drops is infeasible by proof, and is not in `labels`.  A
     failure raises the lowest failing survivor's error, as a label-by-label
     loop would; the screen itself never raises.
     """
     a = as_matrix(delta_w, "delta_w")
     s, q, rank_estimate = _extract(a, cfg)
-    cols = np.array(sorted(screen(q, cfg)), dtype=np.intp)
-    feasible, _ = _solve_labels(q, cols, cfg, max_pivots, cap_as_infeasible)
-    labels = frozenset(cols[feasible].tolist())
-    statuses = {c: FEASIBLE if c in labels else INFEASIBLE for c in range(q.shape[1])}
-    return LabelSetPrediction(inferred_s=s, labels=labels,
-                              per_label_status=statuses, rank_estimate=rank_estimate)
+    cols = np.array(sorted(screen(q)), dtype=np.intp)
+    feasible, _ = _solve_labels(q, cols, cap_as_infeasible)
+    return LabelSetPrediction(inferred_s=s, labels=frozenset(cols[feasible].tolist()),
+                              rank_estimate=rank_estimate)

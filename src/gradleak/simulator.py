@@ -119,31 +119,6 @@ class GradientCase:
         return frozenset(self.true_labels)
 
 
-def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a 1-D logit vector (max-subtracted)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("softmax expects a 1-D vector")
-    if not np.isfinite(z).all():
-        raise ValueError("logits contain non-finite entries")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def ce_logit_grad(z, y: int) -> np.ndarray:
-    """Gradient of cross-entropy loss w.r.t. the logits for true label y.
-
-    Equals softmax(z) with 1 subtracted at coordinate y, so the output has a
-    single negative coordinate, located at the true label.
-    """
-    p = softmax(z)
-    if not (0 <= y < p.shape[0]):
-        raise ValueError(f"label {y} out of range for {p.shape[0]} classes")
-    g = p.copy()
-    g[y] -= 1.0
-    return g
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

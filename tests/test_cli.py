@@ -7,6 +7,7 @@ import gradleak.rlg
 from gradleak.caseio import load_case, load_report, read_grd, save_case, save_decoder
 from gradleak.cli import main
 from gradleak.gm import ToyDecoder, decoder_gradient
+from gradleak.linalg import default_rank_tol, numeric_rank, svd
 from gradleak.simulator import GradientCase, Scenario
 
 
@@ -334,3 +335,55 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     code = main(["defend", "sign", str(tmp_path / "missing.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+    # a case without `d`, one with a null seed, a decoder without `w` and a
+    # report without `per_case`: every loader names the file and the cause
+    case_path = str(tmp_path / "case.json")
+    dec_path = str(tmp_path / "dec.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6", "--classes", "5",
+          "--seed", "21", "--out", case_path, "--decoder-out", dec_path])
+    main(["attack", "mincol", case_path, "--report", report])
+    capsys.readouterr()
+
+    def broken(path, name, edit):
+        doc = json.loads(open(path).read())
+        edit(doc)
+        out = str(tmp_path / name)
+        open(out, "w").write(json.dumps(doc))
+        return out
+
+    no_d = broken(case_path, "no-d.json", lambda doc: doc.pop("d"))
+    null_seed = broken(case_path, "null-seed.json", lambda doc: doc["scenario"].update(seed=None))
+    no_w = broken(dec_path, "no-w.json", lambda doc: doc.pop("w"))
+    no_per_case = broken(report, "no-per-case.json", lambda doc: doc.pop("per_case"))
+    gm_tail = ["--restarts", "1", "--seed", "0", "--report", str(tmp_path / "gm.json")]
+    for argv, named, cause in (
+            (["defend", "sign", no_d], no_d, "missing key 'd'"),
+            (["defend", "sign", null_seed], null_seed, "wrongly typed value"),
+            (["gm", no_d, "--decoder", dec_path, *gm_tail], no_d, "missing key 'd'"),
+            (["gm", case_path, "--decoder", no_w, *gm_tail], no_w, "missing key 'w'"),
+            (["eval", "--reports", no_per_case], no_per_case, "missing key 'per_case'")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: "), err
+        assert cause in err, err
+    # attack records the cause per case and names the file too
+    assert main(["attack", "rlg", no_d, "--report", report]) == 1
+    assert f"ValueError: {no_d}: missing key 'd'" in capsys.readouterr().err
+
+
+def test_attack_rank_tol_sets_rank_and_s(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    main(["simulate", "--mode", "batch", "--n", "6", "--d", "32", "--classes", "40",
+          "--latent", "tanh", "--seed", "5", "--out", case_path])
+    dw = load_case(case_path).case.delta_w
+    sv = svd(dw).singular
+    loose = 0.3
+    default_rank = numeric_rank(sv, default_rank_tol(32, 40))
+    assert default_rank == 6
+    assert 1 <= numeric_rank(sv, loose) < default_rank  # the loose cut lowers the rank
+    for extra, tol in (([], default_rank_tol(32, 40)), (["--rank-tol", repr(loose)], loose)):
+        report = str(tmp_path / "rep.json")
+        assert main(["attack", "rlg", case_path, *extra, "--report", report]) == 0
+        entry = load_report(report)["per_case"][0]
+        assert entry["rank_estimate"] == entry["inferred_S"] == numeric_rank(sv, tol)

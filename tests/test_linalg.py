@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradleak import linalg
 from gradleak.linalg import (SvdConvergenceError, _round_robin, as_matrix,
                              default_rank_tol, numeric_rank, svd)
 
@@ -79,7 +80,7 @@ def test_svd_low_rank_product_and_zero_matrix():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 30))
     res = svd(a)
-    assert numeric_rank(res.singular, max_dim=40) == 3
+    assert numeric_rank(res.singular, default_rank_tol(40, 30)) == 3
     assert np.abs(res.right @ res.right.T - np.eye(30)).max() <= 1e-10
 
     res = svd(np.zeros((4, 6)))
@@ -95,7 +96,7 @@ def test_svd_rank_deficient_completion(shape):
     a = rng.normal(size=(shape[0], 8)) @ rng.normal(size=(8, shape[1]))
     res = svd(a)
     r = min(shape)
-    assert numeric_rank(res.singular, max_dim=max(shape)) == 8
+    assert numeric_rank(res.singular, default_rank_tol(*shape)) == 8
     assert res.left.shape == (shape[0], r) and res.right.shape == (r, shape[1])
     assert np.abs(res.left.T @ res.left - np.eye(r)).max() <= 1e-10
     assert np.abs(res.right @ res.right.T - np.eye(r)).max() <= 1e-10
@@ -108,27 +109,31 @@ def test_svd_rank_deficient_completion(shape):
     assert (res.right[np.arange(r), first] > 0.0).all()
 
 
-def test_svd_sweep_cap_raises_with_count():
+def test_svd_sweep_cap_raises_with_count(monkeypatch):
     rng = np.random.default_rng(9)
     a = rng.normal(size=(12, 9))
+    monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 0)
     with pytest.raises(SvdConvergenceError) as err:
-        svd(a, max_sweeps=0)
+        svd(a)
     assert err.value.sweeps == 0
 
 
 def test_numeric_rank_examples():
-    assert numeric_rank([3.0, 1.0, 0.0]) == 2
-    assert numeric_rank([0.0, 0.0]) == 0
-    assert numeric_rank([]) == 0
+    tol = default_rank_tol(3, 3)
+    assert numeric_rank([3.0, 1.0, 0.0], tol) == 2
+    assert numeric_rank([0.0, 0.0], tol) == 0
+    assert numeric_rank([], tol) == 0
 
 
 def test_numeric_rank_validation():
     with pytest.raises(ValueError):
-        numeric_rank([1.0, 2.0])  # increasing
+        numeric_rank([1.0, 2.0], 1e-12)  # increasing
     with pytest.raises(ValueError):
-        numeric_rank([1.0, -0.5])
+        numeric_rank([1.0, -0.5], 1e-12)
     with pytest.raises(ValueError):
         numeric_rank([1.0], tol_rel=0.0)
+    with pytest.raises(TypeError):
+        numeric_rank([1.0])  # the tolerance has no default
 
 
 def test_numeric_rank_product_inference():
@@ -138,7 +143,7 @@ def test_numeric_rank_product_inference():
         r = np.random.default_rng(seed)
         prod = r.normal(size=(64, 5)) @ r.normal(size=(5, 100))
         sv = svd(prod).singular
-        assert numeric_rank(sv, default_rank_tol(64, 100), max_dim=100) == 5
+        assert numeric_rank(sv, default_rank_tol(64, 100)) == 5
 
 
 def test_numeric_rank_monotone_in_tolerance():

@@ -4,9 +4,9 @@ import pytest
 from gradleak import rlg
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
-from gradleak.rlg import (DEFAULT_MAX_PIVOTS, FEASIBLE, INFEASIBLE,
-                          DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
-                          LpSingularBasisError, RankAssumptionError, RlgConfig,
+from gradleak.rlg import (DEFAULT_MAX_PIVOTS, LP_MARGIN, DegenerateUpdateError,
+                          LpPivotLimitError, LpSingularBasisError, RankAssumptionError,
+                          RlgConfig,
                           _cone_distances, _solve_labels, extract_q, lp_feasible,
                           lp_separator, rlg_attack, screen)
 from gradleak.simulator import Scenario, simulate_case
@@ -32,17 +32,9 @@ def captures():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RlgConfig(lp_margin=0.0)
-    with pytest.raises(ValueError):
         RlgConfig(rank_tol_rel=-1e-3)
     with pytest.raises(ValueError):
-        RlgConfig(lp_box_bound=0.0)
-
-
-def test_prediction_invariant_enforced():
-    with pytest.raises(ValueError):
-        LabelSetPrediction(inferred_s=1, labels=frozenset({0}),
-                           per_label_status={0: INFEASIBLE, 1: FEASIBLE})
+        RlgConfig(rank_tol_rel=0.0)
 
 
 def test_extract_q_single_sample():
@@ -109,10 +101,10 @@ def test_lp_feasible_label_out_of_range():
         lp_feasible(q, 2)
 
 
-def grid_separable(q, c, margin, box, angles=10_000):
+def grid_separable(q, c, margin, angles=10_000):
     # brute-force angular search over unit directions, valid for S=2
     thetas = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1) * box
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     scores = dirs @ q
     others = np.ones(q.shape[1], dtype=bool)
     others[c] = False
@@ -128,8 +120,7 @@ def test_lp_agrees_with_angular_grid_oracle():
         s, q = extract_q(case.delta_w, cfg)
         assert s == 2
         for c in range(12):
-            assert lp_feasible(q, c, cfg) == grid_separable(
-                q, c, cfg.lp_margin, cfg.lp_box_bound)
+            assert lp_feasible(q, c) == grid_separable(q, c, LP_MARGIN)
 
 
 def test_lp_separator_witness_satisfies_constraints():
@@ -139,26 +130,26 @@ def test_lp_separator_witness_satisfies_constraints():
                                       latent="gauss", seed=6000 + seed))
         _, q = extract_q(case.delta_w, cfg)
         for c in range(20):
-            r = lp_separator(q, c, cfg)
+            r = lp_separator(q, c)
             if r is None:
                 continue
-            assert np.abs(r).max() <= cfg.lp_box_bound + 1e-9
-            assert r @ q[:, c] <= -cfg.lp_margin + 1e-9
+            assert np.abs(r).max() <= 1.0 + 1e-9
+            assert r @ q[:, c] <= -LP_MARGIN + 1e-9
             others = np.delete(np.arange(20), c)
             assert (r @ q[:, others] >= -1e-9).all()
 
 
-def test_lp_pivot_cap_propagates_or_reports_infeasible():
+def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
+    monkeypatch.setattr(rlg, "DEFAULT_MAX_PIVOTS", 0)
     q = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(LpPivotLimitError):
-        lp_feasible(q, 0, max_pivots=0)
-    assert lp_feasible(q, 0, max_pivots=0, cap_as_infeasible=True) is False
+        lp_feasible(q, 0)
+    assert lp_feasible(q, 0, cap_as_infeasible=True) is False
     case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
     with pytest.raises(LpPivotLimitError) as err:
-        rlg_attack(case.delta_w, max_pivots=0)
+        rlg_attack(case.delta_w)
     assert err.value.pivots == 1
-    pred = rlg_attack(case.delta_w, max_pivots=0, cap_as_infeasible=True)
-    assert set(pred.per_label_status.values()) == {INFEASIBLE}
+    assert rlg_attack(case.delta_w, cap_as_infeasible=True).labels == frozenset()
 
 
 def test_singular_basis_names_its_cause(monkeypatch):
@@ -199,8 +190,8 @@ def _wide_capture(seed, n=4, latent="tanh"):
     return case, RlgConfig(assume_s=case.true_s)
 
 
-def _brute_force_labels(q, cfg):
-    feasible, _ = _solve_labels(q, np.arange(q.shape[1]), cfg, DEFAULT_MAX_PIVOTS, False)
+def _brute_force_labels(q):
+    feasible, _ = _solve_labels(q, np.arange(q.shape[1]), False)
     return set(np.flatnonzero(feasible).tolist())
 
 
@@ -208,12 +199,12 @@ def test_screen_soundness_on_oversized_vocab():
     # everything filtered out must be LP-infeasible
     case, cfg = _wide_capture(8)
     _, q = extract_q(case.delta_w, cfg)
-    survivors = screen(q, cfg)
+    survivors = screen(q)
     rejected = set(range(600)) - survivors
     assert rejected, "filter should reject something at this size"
     assert case.label_set <= survivors
     for c in sorted(rejected):
-        assert lp_feasible(q, c, cfg) is False
+        assert lp_feasible(q, c) is False
 
 
 def test_screen_equivalence_moderate_size():
@@ -224,28 +215,28 @@ def test_screen_equivalence_moderate_size():
         for dw in (case.delta_w, apply_defense(case.delta_w, DefenseSpec("drop", 0.9)),
                    apply_defense(case.delta_w, DefenseSpec("sign"))):
             _, q = extract_q(dw, cfg)
-            assert rlg_attack(dw, cfg).labels == _brute_force_labels(q, cfg)
-            assert len(screen(q, cfg)) < 60
+            assert rlg_attack(dw, cfg).labels == _brute_force_labels(q)
+            assert len(screen(q)) < 60
 
 
 def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatch):
     # the screen's decision for label c is the serial solver's over the
     # anchors other than c (anchors or not, the zero column never enters)
     monkeypatch.setattr(rlg, "_SCREEN_ANCHORS", 60)
-    for tag, _, cfg, q in captures:
+    for tag, _, _, q in captures:
         anchors = np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")[:60]
-        kept = screen(q, cfg)
+        kept = screen(q)
         assert len(kept) < q.shape[1], tag
         for c in range(q.shape[1]):
             d, _, _ = _serial_cone_distance(q[:, anchors[anchors != c]], q[:, c].copy(),
                                             DEFAULT_MAX_PIVOTS, 0.5e-6)
-            assert (c in kept) == (cfg.lp_box_bound * d >= cfg.lp_margin), (tag, c)
+            assert (c in kept) == (d >= LP_MARGIN), (tag, c)
 
 
 def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
     case, cfg = _wide_capture(8)
     _, q = extract_q(case.delta_w, cfg)
-    rejected = set(range(600)) - screen(q, cfg)
+    rejected = set(range(600)) - screen(q)
 
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -254,7 +245,7 @@ def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
     # those labels without raising, and the full LP names the failure
     monkeypatch.setattr(np.linalg, "inv", singular)
     monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 4)
-    assert rejected & screen(q, cfg)
+    assert rejected & screen(q)
     with pytest.raises(LpSingularBasisError) as err:
         rlg_attack(case.delta_w, cfg)
     assert err.value.pivots == 4
@@ -268,10 +259,11 @@ def test_single_sample_attack_recovers_label():
 
 
 def test_attack_statuses_partition_labels():
+    # a label is kept exactly when its LP is feasible; the rest are not
     case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
     pred = rlg_attack(case.delta_w)
-    assert set(pred.per_label_status) == set(range(12))
-    assert pred.labels == {c for c, st in pred.per_label_status.items() if st == FEASIBLE}
+    _, q = extract_q(case.delta_w)
+    assert pred.labels == {c for c in range(12) if lp_feasible(q, c)}
     assert pred.rank_estimate == 3
 
 
@@ -320,9 +312,9 @@ def test_screen_equivalence_large_vocabulary():
     cfg = RlgConfig(assume_s=case.true_s)
     _, q = extract_q(case.delta_w, cfg)
     pred = rlg_attack(case.delta_w, cfg)
-    assert pred.labels == _brute_force_labels(q, cfg)
+    assert pred.labels == _brute_force_labels(q)
     assert case.label_set <= pred.labels
-    assert 16000 - len(screen(q, cfg)) > 15000
+    assert 16000 - len(screen(q)) > 15000
 
 
 def _serial_cone_distance(generators, target, max_pivots, stop_below):
@@ -408,16 +400,16 @@ def test_lockstep_matches_serial_solver_exactly(captures):
 def test_attack_statuses_match_single_label_solves(captures):
     rng = np.random.default_rng(5)
     for tag, dw, cfg, q in captures:
-        statuses = rlg_attack(dw, cfg).per_label_status
+        labels = rlg_attack(dw, cfg).labels
         n = q.shape[1]
         for c in range(n):
-            assert statuses[c] == (FEASIBLE if lp_feasible(q, c, cfg) else INFEASIBLE), (tag, c)
+            assert (c in labels) == lp_feasible(q, c), (tag, c)
         # any order and any split of the labels gives the same decisions
-        want = np.array([statuses[c] == FEASIBLE for c in range(n)])
+        want = np.array([c in labels for c in range(n)])
         order = rng.permutation(n)
         cuts = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
         for part in np.split(order, cuts):
-            got, _ = _solve_labels(q, part, cfg, DEFAULT_MAX_PIVOTS, False)
+            got, _ = _solve_labels(q, part, False)
             assert np.array_equal(got, want[part]), tag
 
 
@@ -432,10 +424,10 @@ def test_column_permutation_equivariance():
         case = simulate_case(Scenario(d=32, classes=40, mode="batch", n=4,
                                       latent=latent, seed=seed))
         cfg = RlgConfig(assume_s=case.true_s)
-        base = rlg_attack(case.delta_w, cfg).per_label_status
+        base = rlg_attack(case.delta_w, cfg).labels
         perm = np.asarray(perm)
-        got = rlg_attack(case.delta_w[:, perm], cfg).per_label_status
-        assert [got[j] for j in range(40)] == [base[int(c)] for c in perm]
+        got = rlg_attack(case.delta_w[:, perm], cfg).labels
+        assert [j in got for j in range(40)] == [int(c) in base for c in perm]
 
     check()
 
@@ -445,7 +437,7 @@ def test_cone_distance_matches_highs(captures):
     for tag, dw, cfg, q in captures:
         if tag.endswith("drop90"):
             continue
-        statuses = rlg_attack(dw, cfg).per_label_status
+        labels = rlg_attack(dw, cfg).labels
         s, n = q.shape
         cost = np.r_[np.zeros(n - 1), np.ones(2 * s)]
         slack = np.hstack([np.eye(s), -np.eye(s)])
@@ -453,10 +445,10 @@ def test_cone_distance_matches_highs(captures):
             res = optimize.linprog(cost, A_eq=np.hstack([np.delete(q, c, axis=1), slack]),
                                    b_eq=q[:, c], bounds=(0, None), method="highs")
             assert res.status == 0, (tag, c)
-            ref = cfg.lp_box_bound * res.fun
-            if cfg.lp_margin / 10 <= ref <= 10 * cfg.lp_margin:
+            ref = res.fun
+            if LP_MARGIN / 10 <= ref <= 10 * LP_MARGIN:
                 continue
-            assert (statuses[c] == FEASIBLE) == (ref >= cfg.lp_margin), (tag, c, ref)
-            if statuses[c] == FEASIBLE:
-                r = lp_separator(q, c, cfg)
+            assert (c in labels) == (ref >= LP_MARGIN), (tag, c, ref)
+            if c in labels:
+                r = lp_separator(q, c)
                 assert abs(-(r @ q[:, c]) - ref) <= 1e-8, (tag, c, ref)

@@ -215,4 +215,6 @@ def load_report(path: str) -> dict:
             raise ValueError("unrecognized report version")
         if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
             raise TypeError("per_case must be a list and aggregate an object")
+        # reads every score key of every scored entry, so a missing one is named
+        aggregate_report(doc["per_case"])
         return doc

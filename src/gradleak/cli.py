@@ -63,13 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     atk = sub.add_parser("attack", help="run an attack over case files and score it")
     atk.add_argument("attack", choices=["rlg", "idlg", "mincol"])
     atk.add_argument("cases", nargs="+", metavar="CASE")
-    atk.add_argument("--assume-s", type=int, default=None)
-    atk.add_argument("--use-true-s", action="store_true",
-                     help="take S from each case's ground truth")
+    atk_s = atk.add_mutually_exclusive_group()
+    atk_s.add_argument("--assume-s", type=int, default=None, metavar="N")
+    atk_s.add_argument("--use-true-s", action="store_true",
+                       help="take S from each case's ground truth")
     atk.add_argument("--rank-tol", type=float, default=None)
-    atk.add_argument("--lp-cap-infeasible", action="store_true",
-                     help="treat LP pivot-cap overruns as infeasible instead of failing "
-                          "(a singular LP basis still fails the case)")
     atk.add_argument("--keep-going", action="store_true",
                      help="record per-case failures and continue")
     atk.add_argument("--jobs", type=int, default=1)
@@ -91,8 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gmp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     gmp.add_argument("--restarts", type=int, default=5)
     gmp.add_argument("--seed", type=int, default=None)
-    gmp.add_argument("--s", type=int, default=None, help="override the sequence length")
-    gmp.add_argument("--use-true-s", action="store_true")
+    gmp_s = gmp.add_mutually_exclusive_group()
+    gmp_s.add_argument("--s", dest="assume_s", type=int, default=None, metavar="N",
+                       help="override the sequence length")
+    gmp_s.add_argument("--use-true-s", action="store_true")
     gmp.add_argument("--report", required=True)
 
     ev = sub.add_parser("eval", help="merge attack reports into one aggregate table")
@@ -140,25 +140,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _attack_one(path: str, opts: dict) -> dict:
+def _chosen_s(args, case: GradientCase) -> int | None:
+    """S from --assume-s (attack) or --s (gm), or the case's true S with
+    --use-true-s; None leaves it to the update's rank."""
+    return case.true_s if args.use_true_s else args.assume_s
+
+
+def _attack_one(path: str, args) -> dict:
     start = time.perf_counter()
-    entry: dict = {"case_id": path, "attack": opts["attack"]}
+    entry: dict = {"case_id": path, "attack": args.attack}
     try:
-        bundle = load_case(path)
-        case = bundle.case
-        delta_w = case.delta_w
-        if opts.get("delta_grd"):
-            delta_w = read_grd(opts["delta_grd"])
-        if opts["attack"] == "rlg":
-            assume = opts["assume_s"]
-            if opts["use_true_s"]:
-                assume = case.true_s
-            cfg = RlgConfig(rank_tol_rel=opts["rank_tol"], assume_s=assume)
-            pred = rlg_attack(delta_w, cfg, cap_as_infeasible=opts["cap_infeasible"])
+        case = load_case(path).case
+        delta_w = read_grd(args.delta_grd) if args.delta_grd else case.delta_w
+        if args.attack == "rlg":
+            cfg = RlgConfig(rank_tol_rel=args.rank_tol, assume_s=_chosen_s(args, case))
+            pred = rlg_attack(delta_w, cfg)
             predicted = sorted(pred.labels)
             inferred = pred.inferred_s
             entry["rank_estimate"] = pred.rank_estimate
-        elif opts["attack"] == "idlg":
+        elif args.attack == "idlg":
             label = idlg_single(delta_w)
             predicted = [label]
             inferred = 1
@@ -183,22 +183,16 @@ def _attack_one(path: str, opts: dict) -> dict:
 def _cmd_attack(args) -> int:
     if args.delta_grd and len(args.cases) != 1:
         raise ValueError("--delta-grd requires exactly one case")
-    opts = {
-        "attack": args.attack,
-        "assume_s": args.assume_s,
-        "use_true_s": args.use_true_s,
-        "rank_tol": args.rank_tol,
-        "cap_infeasible": args.lp_cap_infeasible,
-        "delta_grd": args.delta_grd,
-    }
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            entries = pool.map(_attack_one, args.cases, [opts] * len(args.cases))
+            entries = pool.map(_attack_one, args.cases, [args] * len(args.cases))
             per_case = _until_first_error(entries, args.keep_going)
             pool.shutdown(cancel_futures=True)  # cases past the first error need not run
     else:
         per_case = _until_first_error(
-            (_attack_one(path, opts) for path in args.cases), args.keep_going)
+            (_attack_one(path, args) for path in args.cases), args.keep_going)
     save_report(args.report, per_case, _config_echo(args))
     errored = [e for e in per_case if "error" in e]
     if errored and not args.keep_going:
@@ -244,12 +238,7 @@ def _cmd_gm(args) -> int:
     if decoder.w.shape != case.delta_w.shape:
         raise ValueError(f"decoder shape {decoder.w.shape} does not match case "
                          f"update {case.delta_w.shape}")
-    if args.s is not None:
-        s_used = args.s
-    elif args.use_true_s:
-        s_used = case.true_s
-    else:
-        s_used = None  # inferred from the update's rank
+    s_used = _chosen_s(args, case)
     bow = None
     if args.bow:
         # one SVD serves both the inferred S and the recovered label set

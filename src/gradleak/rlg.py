@@ -12,16 +12,23 @@ would give.  A label c is kept when some vector r in the unit box
     r . q_c <= -LP_MARGIN      and      r . q_j >= 0  for every j != c,
 
 i.e. the column q_c can be strictly separated from all other columns by a
-hyperplane through the origin.  The fixed margin LP_MARGIN and the unit
-box make the homogeneous separation problem a bounded, decidable
-feasibility question: by LP duality it holds exactly when
+hyperplane through the origin; a true label always passes this test.  The
+fixed margin LP_MARGIN and the unit box make the homogeneous separation
+problem a bounded, decidable feasibility question: by LP duality it holds
+exactly when
 
     min{ ||q_c - sum_j lam_j q_j||_1 : lam >= 0 } >= LP_MARGIN,
 
 and that inner minimization is a phase-1 simplex problem (the L1 slack pair
 doubles as the artificial basis) solved here with Bland's rule, which cannot
-cycle.  The optimal simplex multipliers directly yield a primal separator
-witness, exposed via :func:`lp_separator`.
+cycle in exact arithmetic.  The optimal simplex multipliers directly yield a
+primal separator witness, exposed via :func:`lp_separator`.
+
+Every label decision is the LP's answer or a named error: an LP that runs
+past DEFAULT_MAX_PIVOTS raises LpPivotLimitError, and one whose basis turns
+singular raises LpSingularBasisError.  Neither is read as "not a label",
+since the label whose LP failed may be a true one (floating-point ties can
+make Bland's rule cycle on a true label's LP until the cap).
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ class LpPivotLimitError(RuntimeError):
 class LpSingularBasisError(RuntimeError):
     """The simplex basis matrix turned singular at a refactorisation.
 
-    A numerical failure, not a pivot-cap overrun: `cap_as_infeasible` does
-    not cover it, since calling the label infeasible would be a guess.
+    A numerical failure, not a pivot-cap overrun (LpPivotLimitError); like
+    that one it fails the attack rather than decide the label.
     """
 
     def __init__(self, pivots: int):
@@ -160,7 +167,8 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
     is never priced) followed by the positive and negative L1 slack pair
     (cost 1, ids n_cols + i and n_cols + s + i), which doubles as the
     starting artificial basis.  Bland's rule enters the lowest improvable id
-    and leaves the lowest basis id among ratio ties, so no target cycles.
+    and leaves the lowest basis id among ratio ties, so in exact arithmetic
+    no target cycles.
     Only each target's s x s basis matrix and its product-form inverse are
     kept; pricing runs against the read-only gens, so nothing is copied per
     target and nothing accumulates roundoff.  Every live target takes one
@@ -285,23 +293,20 @@ def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _solve_labels(q: np.ndarray, labels: np.ndarray,
-                  cap_as_infeasible: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Decide labels (ascending columns of q) together; returns the feasible
-    mask and each label's separator candidate -y.
+def _solve_labels(q: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decide labels (columns of q) together; returns the feasible mask and
+    each label's separator candidate -y.
 
-    Failures are raised for the lowest failing label, as a label-by-label
-    loop would: a singular basis always, a pivot-cap hit unless
-    `cap_as_infeasible` makes it an infeasible decision.
+    The first failing label in `labels` raises its error, as a label-by-label
+    loop would: LpSingularBasisError for a singular basis, LpPivotLimitError
+    for a pivot-cap overrun.
     """
     dist, y, pivots, failed = _lockstep(q, q[:, labels].T, labels)
-    for i in np.flatnonzero(failed):
-        if failed[i] == _SINGULAR:
-            raise LpSingularBasisError(int(pivots[i]))
-        if not cap_as_infeasible:
-            raise LpPivotLimitError(int(pivots[i]))
-    feasible = (dist >= LP_MARGIN) & (failed == 0)
-    return feasible, -y
+    if failed.any():
+        i = failed.nonzero()[0][0]
+        error = LpSingularBasisError if failed[i] == _SINGULAR else LpPivotLimitError
+        raise error(int(pivots[i]))
+    return dist >= LP_MARGIN, -y
 
 
 def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,15 +316,14 @@ def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
     return q, np.array([c], dtype=np.intp)
 
 
-def lp_feasible(q, c: int, *, cap_as_infeasible: bool = False) -> bool:
+def lp_feasible(q, c: int) -> bool:
     """Decide whether label column c is strictly separable from the rest.
 
-    A run past DEFAULT_MAX_PIVOTS pivots raises LpPivotLimitError unless the caller opts into
-    treating it as infeasible via `cap_as_infeasible`.  A singular basis at
-    refactorisation raises LpSingularBasisError either way.
+    A run past DEFAULT_MAX_PIVOTS pivots raises LpPivotLimitError, and a
+    singular basis at refactorisation raises LpSingularBasisError.
     """
     q, labels = _one_label(q, c)
-    feasible, _ = _solve_labels(q, labels, cap_as_infeasible)
+    feasible, _ = _solve_labels(q, labels)
     return bool(feasible[0])
 
 
@@ -330,7 +334,7 @@ def lp_separator(q, c: int) -> Optional[np.ndarray]:
     j != c, and |r|_inf <= 1 (up to solver tolerance).
     """
     q, labels = _one_label(q, c)
-    feasible, r = _solve_labels(q, labels, False)
+    feasible, r = _solve_labels(q, labels)
     return r[0] if feasible[0] else None
 
 
@@ -362,8 +366,7 @@ def screen(q) -> set[int]:
     return set(np.flatnonzero(~rejected).tolist())
 
 
-def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig(), *,
-               cap_as_infeasible: bool = False) -> LabelSetPrediction:
+def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig()) -> LabelSetPrediction:
     """Full pipeline: rank inference, right-singular extraction, the screen,
     and per-label LP feasibility.
 
@@ -371,12 +374,13 @@ def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig(), *,
     decision is the one `lp_feasible` gives for that label alone, so the
     result does not depend on which labels are solved together.  A label
     the screen drops is infeasible by proof, and is not in `labels`.  A
-    failure raises the lowest failing survivor's error, as a label-by-label
-    loop would; the screen itself never raises.
+    survivor's LP that fails is not decided: the lowest failing survivor's
+    LpSingularBasisError or LpPivotLimitError is raised, as a label-by-label
+    loop would.  The screen itself never raises.
     """
     a = as_matrix(delta_w, "delta_w")
     s, q, rank_estimate = _extract(a, cfg)
     cols = np.array(sorted(screen(q)), dtype=np.intp)
-    feasible, _ = _solve_labels(q, cols, cap_as_infeasible)
+    feasible, _ = _solve_labels(q, cols)
     return LabelSetPrediction(inferred_s=s, labels=frozenset(cols[feasible].tolist()),
                               rank_estimate=rank_estimate)

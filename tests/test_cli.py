@@ -2,12 +2,15 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import gradleak.rlg
+from gradleak import bench
 from gradleak.caseio import load_case, load_report, read_grd, save_case, save_decoder
 from gradleak.cli import main
 from gradleak.gm import ToyDecoder, decoder_gradient
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
+from gradleak.rlg import RlgConfig, rlg_attack
 from gradleak.simulator import GradientCase, Scenario
 
 
@@ -76,6 +79,13 @@ def test_simulate_single_into_directory_skip_existing(tmp_path, capsys):
     # without --skip-existing the case is written again
     assert main(argv) == 0
     assert load_case(str(path)).case.scenario.seed == 7
+
+
+def test_simulate_multistep_sets_every_step_lr(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    assert main(["simulate", "--mode", "multistep", "--n", "2", "--k", "3", "--d", "8",
+                 "--classes", "6", "--lr", "0.3", "--seed", "4", "--out", case_path]) == 0
+    assert load_case(case_path).case.scenario.lrs == (0.3,) * 3
 
 
 def test_attack_rlg_with_true_s_and_report_fields(tmp_path):
@@ -153,7 +163,7 @@ def test_attack_keep_going_records_and_continues(tmp_path):
     assert doc["per_case"][1]["set_score"]["exact_match"] is True
 
 
-def test_attack_jobs_parallel_matches_serial(tmp_path):
+def test_attack_jobs_parallel_matches_serial(tmp_path, capsys):
     out_dir = str(tmp_path / "cases")
     main(["simulate", "--mode", "batch", "--n", "2", "--d", "12",
           "--classes", "9", "--seed", "6", "--count", "4", "--out", out_dir])
@@ -167,6 +177,12 @@ def test_attack_jobs_parallel_matches_serial(tmp_path):
     for e1, e2 in zip(a, b):
         e1.pop("wall_time_ms"), e2.pop("wall_time_ms")
     assert a == b
+    # fewer than one worker is refused, as --count is, not run serially
+    capsys.readouterr()
+    r0 = str(tmp_path / "none.json")
+    assert main(["attack", "rlg", *cases, "--jobs", "0", "--report", r0]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+    assert not os.path.exists(r0)
 
 
 def test_attack_jobs_stops_at_first_error_like_serial(tmp_path):
@@ -296,6 +312,25 @@ def test_gm_bow_inferred_s_runs_one_svd(tmp_path, monkeypatch):
     assert doc["config"]["bow"] == sorted(set(truth))
 
 
+def test_gm_s_sets_s_used(tmp_path):
+    case_path = str(tmp_path / "seq.json")
+    dec_path = str(tmp_path / "dec.json")
+    report = str(tmp_path / "gm.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6",
+          "--classes", "5", "--seed", "21", "--out", case_path,
+          "--decoder-out", dec_path])
+    head = ["gm", case_path, "--decoder", dec_path, "--restarts", "1", "--seed", "0",
+            "--report", report]
+    for extra in ([], ["--bow"]):
+        assert main(head + extra + ["--s", "3"]) == 0
+        doc = json.loads(open(report).read())
+        assert doc["config"]["s_used"] == doc["config"]["assume_s"] == 3
+    # one S choice per command
+    with pytest.raises(SystemExit) as exit_:
+        main(head + ["--s", "3", "--use-true-s"])
+    assert exit_.value.code == 2
+
+
 def test_eval_merges_reports(tmp_path, capsys):
     case_path = str(tmp_path / "case.json")
     main(["simulate", "--mode", "single", "--d", "8", "--classes", "5",
@@ -356,13 +391,19 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     null_seed = broken(case_path, "null-seed.json", lambda doc: doc["scenario"].update(seed=None))
     no_w = broken(dec_path, "no-w.json", lambda doc: doc.pop("w"))
     no_per_case = broken(report, "no-per-case.json", lambda doc: doc.pop("per_case"))
+    part_score = str(tmp_path / "part-score.json")
+    open(part_score, "w").write(json.dumps(
+        {"version": 1, "per_case": [{"set_score": {"precision": 1.0}}], "aggregate": {}}))
+    no_le = broken(report, "no-le.json", lambda doc: doc["per_case"][0].pop("length_error"))
     gm_tail = ["--restarts", "1", "--seed", "0", "--report", str(tmp_path / "gm.json")]
     for argv, named, cause in (
             (["defend", "sign", no_d], no_d, "missing key 'd'"),
             (["defend", "sign", null_seed], null_seed, "wrongly typed value"),
             (["gm", no_d, "--decoder", dec_path, *gm_tail], no_d, "missing key 'd'"),
             (["gm", case_path, "--decoder", no_w, *gm_tail], no_w, "missing key 'w'"),
-            (["eval", "--reports", no_per_case], no_per_case, "missing key 'per_case'")):
+            (["eval", "--reports", no_per_case], no_per_case, "missing key 'per_case'"),
+            (["eval", "--reports", part_score], part_score, "missing key 'recall'"),
+            (["eval", "--reports", no_le], no_le, "missing key 'length_error'")):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: "), err
@@ -387,3 +428,31 @@ def test_attack_rank_tol_sets_rank_and_s(tmp_path):
         assert main(["attack", "rlg", case_path, *extra, "--report", report]) == 0
         entry = load_report(report)["per_case"][0]
         assert entry["rank_estimate"] == entry["inferred_S"] == numeric_rank(sv, tol)
+
+
+def test_attack_assume_s_sets_s_and_labels(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    report = str(tmp_path / "rep.json")
+    main(["simulate", "--mode", "batch", "--n", "4", "--d", "32", "--classes", "40",
+          "--latent", "tanh", "--seed", "3", "--out", case_path])
+    dw = load_case(case_path).case.delta_w
+    assert main(["attack", "rlg", case_path, "--assume-s", "3", "--report", report]) == 0
+    entry = load_report(report)["per_case"][0]
+    assert entry["inferred_S"] == 3
+    assert entry["predicted_labels"] == sorted(rlg_attack(dw, RlgConfig(assume_s=3)).labels)
+    # one S choice per command
+    with pytest.raises(SystemExit) as exit_:
+        main(["attack", "rlg", case_path, "--assume-s", "3", "--use-true-s",
+              "--report", report])
+    assert exit_.value.code == 2
+
+
+def test_bench_suite_prints_lines_and_exit_code(monkeypatch, capsys):
+    good = bench.CriterionResult("good", True, {"x": 1})
+    bad = bench.CriterionResult("bad", False, {"y": 2})
+    monkeypatch.setitem(bench.SUITES, "table1", (lambda: good,))
+    assert main(["bench", "--suite", "table1"]) == 0
+    assert capsys.readouterr().out == "PASS  good: x=1\n"
+    monkeypatch.setitem(bench.SUITES, "table1", (lambda: good, lambda: bad))
+    assert main(["bench", "--suite", "table1"]) == 1
+    assert capsys.readouterr().out == "PASS  good: x=1\nFAIL  bad: y=2\n"

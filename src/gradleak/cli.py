@@ -269,6 +269,8 @@ def _cmd_gm(args) -> int:
             "n_vars": result.n_vars,
             "wer": result.wer_vs_truth,
             "exact_match": result.exact_match,
+            "runs": [{"steps": steps, "distance": distance, "converged": converged}
+                     for steps, distance, converged in result.runs],
         },
     }
     write_json_atomic(args.report, doc)

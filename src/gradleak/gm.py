@@ -23,6 +23,13 @@ Descent schedule: the step size starts at LR_INIT and halves every
 LR_HALVE_EVERY steps down to LR_FLOOR; a run has converged once its
 transcript has not changed for STABLE_STEPS steps, and stops at the
 problem's max_steps either way.
+
+Restarts advance together: one descent steps a stack of R (A, P) pairs,
+one :func:`gm_gradients` call per step, and each restart still stops on its
+own (stable transcript, step cap or divergence) and leaves the stack.  Every
+slice of the stack computes exactly what a lone restart would, so the
+result does not depend on how many restarts share the descent.  A result
+records each restart's steps, distance and convergence in `runs`.
 """
 
 from __future__ import annotations
@@ -58,10 +65,11 @@ def _columns(bow: Optional[Sequence[int]], classes: int) -> np.ndarray:
 
 def _forward(a: np.ndarray, p: np.ndarray, dec: ToyDecoder,
              cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # softmax(A W + b) and M = softmax - P~, with P~ zero outside `cols`
+    # softmax(A W + b) and M = softmax - P~, with P~ zero outside `cols`;
+    # a and p are one (S, .) pair or a stack (R, S, .) of them
     sm = _softmax_rows(dec.logits(a))
     full = np.zeros_like(sm)
-    full[:, cols] = p
+    full[..., cols] = p
     return sm, sm - full
 
 
@@ -91,6 +99,8 @@ class GMProblem:
             raise ValueError("sequence length must be >= 1")
         if self.lam < 0.0:
             raise ValueError("regularization weight must be >= 0")
+        if self.max_steps < 1:
+            raise ValueError("step cap must be >= 1")
         cols = _columns(self.bow, self.decoder.classes)
         object.__setattr__(self, "cols", cols)
         if self.bow is not None:
@@ -111,7 +121,9 @@ class GMResult:
 
     final_loss is the plain (unsquared) Frobenius gradient distance of the
     kept restart; objective adds the weighted regularizer to the squared
-    distance.  n_vars records the optimized search-space size.
+    distance.  n_vars records the optimized search-space size.  runs holds
+    one (steps, distance, converged) per restart, in restart order; a
+    diverged restart reads (step, inf, False).
     """
 
     transcript: tuple[int, ...]
@@ -123,6 +135,7 @@ class GMResult:
     converged: bool
     restarts: int
     objective: float
+    runs: tuple[tuple[int, float, bool], ...]
 
 
 def smooth_label_loss(a, p, dec: ToyDecoder, bow: Optional[Sequence[int]] = None) -> float:
@@ -177,18 +190,30 @@ def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
     softmax Jacobian to A E, and -2 A E (restricted to the searched columns)
     to dP.  The regularizer contributes its subgradient
     lam * sign(||p_i||_1 - 1) * sign(p_ij).
+
+    `a` and `p` are one (S, d_A), (S, K) pair, or a stack (R, S, d_A),
+    (R, S, K) of R pairs whose gradients come out stacked the same way; each
+    slice equals its own 2-D call bit for bit.  Shapes are checked, but the
+    entries are not scanned: a NaN or Inf gives non-finite gradients, which
+    is how :func:`reconstruct` sees a restart diverge.
     """
-    a = as_matrix(a, "context vectors")
-    p = as_matrix(p, "smooth labels")
+    a = np.asarray(a, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if a.ndim not in (2, 3) or a.shape[-1] != prob.decoder.d_a or a.shape[-2] < 1:
+        raise ValueError(f"context vectors must be (S, {prob.decoder.d_a}) or a stack "
+                         f"of them, got shape {a.shape!r}")
+    if p.shape != a.shape[:-1] + (prob.width,):
+        raise ValueError(f"smooth labels must be shaped {a.shape[:-1] + (prob.width,)!r}, "
+                         f"got {p.shape!r}")
     w = prob.decoder.w
     sm, m = _forward(a, p, prob.decoder, prob.cols)
-    e = a.T @ m - prob.target_grad
+    e = a.swapaxes(-1, -2) @ m - prob.target_grad
     ae = a @ e
-    row_dot = (ae * sm).sum(axis=1, keepdims=True)
+    row_dot = (ae * sm).sum(axis=-1, keepdims=True)
     jac = sm * (ae - row_dot)
-    grad_a = 2.0 * (m @ e.T + jac @ w.T)
-    grad_p = -2.0 * ae.take(prob.cols, axis=1)
-    reg = prob.lam * np.sign(np.abs(p).sum(axis=1, keepdims=True) - 1.0) * np.sign(p)
+    grad_a = 2.0 * (m @ e.swapaxes(-1, -2) + jac @ w.T)
+    grad_p = -2.0 * ae.take(prob.cols, axis=-1)
+    reg = prob.lam * np.sign(np.abs(p).sum(axis=-1, keepdims=True) - 1.0) * np.sign(p)
     return grad_a, grad_p + reg
 
 
@@ -204,59 +229,84 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
                      bow=tuple(bow) if bow is not None else None, lam=lam, **overrides)
 
 
-def _transcript(p: np.ndarray, prob: GMProblem) -> tuple[int, ...]:
-    return tuple(prob.cols[p.argmax(axis=1)].tolist())
-
-
-def _single_run(prob: GMProblem, rng: np.random.Generator):
-    a = rng.normal(0.0, 0.01, size=(prob.s, prob.decoder.d_a))
-    p = rng.normal(0.0, 0.01, size=(prob.s, prob.width))
-    transcript = _transcript(p, prob)
-    last_change = 0
-    converged = False
-    step = 0
-    for step in range(1, prob.max_steps + 1):
-        lr = max(LR_FLOOR, LR_INIT * 0.5 ** ((step - 1) // LR_HALVE_EVERY))
-        with np.errstate(over="ignore", invalid="ignore"):
-            ga, gp = gm_gradients(a, p, prob)
-            a -= lr * ga
-            p -= lr * gp
-        if not (np.isfinite(a).all() and np.isfinite(p).all()):
-            # diverged run: report it as non-converged with infinite distance
-            # so any finite restart beats it
-            return transcript, float("inf"), float("inf"), step, False
-        current = _transcript(p, prob)
-        if current != transcript:
-            transcript = current
-            last_change = step
-        if step - last_change >= STABLE_STEPS:
-            converged = True
-            break
+def _distance(a: np.ndarray, p: np.ndarray, prob: GMProblem) -> tuple[float, float]:
+    # plain gradient distance and objective of one restart's (A, P)
     _, m = _forward(a, p, prob.decoder, prob.cols)
     diff = a.T @ m - prob.target_grad
     distance = float(np.sqrt((diff * diff).sum()))
-    objective = distance * distance + prob.lam * regularizer(p)
-    return transcript, distance, objective, step, converged
+    return distance, distance * distance + prob.lam * regularizer(p)
+
+
+def _descend(prob: GMProblem, a: np.ndarray, p: np.ndarray) -> list[tuple]:
+    """Run the restarts stacked in `a` (R, S, d_A) and `p` (R, S, K) to their
+    ends; returns (transcript, distance, objective, steps, converged) per
+    restart, in stack order.
+
+    All live restarts take step t together with the shared step size.  After
+    each step a restart that diverged, whose transcript has been stable for
+    STABLE_STEPS steps, or that reached max_steps, is scored and leaves the
+    stack, exactly where a lone run of it would have stopped.
+    """
+    outcomes: list = [None] * a.shape[0]
+    live = np.arange(a.shape[0])  # restart index of each stack slice
+    picks = p.argmax(axis=-1)  # each slice's transcript, as column indices
+    last_change = np.zeros(live.size, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, prob.max_steps + 1):
+            lr = max(LR_FLOOR, LR_INIT * 0.5 ** ((step - 1) // LR_HALVE_EVERY))
+            ga, gp = gm_gradients(a, p, prob)
+            a -= lr * ga
+            p -= lr * gp
+            finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))
+            current = p.argmax(axis=-1)
+            changed = finite & (current != picks).any(axis=1)
+            if changed.any():
+                picks[changed] = current[changed]
+                last_change[changed] = step
+            stable = step - last_change >= STABLE_STEPS
+            done = ~finite | stable
+            if step == prob.max_steps:
+                done[:] = True
+            elif not done.any():
+                continue
+            for i in done.nonzero()[0]:
+                transcript = tuple(prob.cols[picks[i]].tolist())
+                if finite[i]:
+                    distance, objective = _distance(a[i], p[i], prob)
+                else:
+                    # diverged run: non-converged with infinite distance, so
+                    # any finite restart beats it
+                    distance = objective = float("inf")
+                outcomes[live[i]] = (transcript, distance, objective, step,
+                                     bool(finite[i] and stable[i]))
+            keep = ~done
+            live, a, p, picks, last_change = (x[keep] for x in (live, a, p, picks, last_change))
+            if not live.size:
+                break
+    return outcomes
 
 
 def reconstruct(prob: GMProblem, seed: int = 0, *, restarts: int = 1,
                 truth: Optional[Sequence[int]] = None) -> GMResult:
     """Gradient-descent reconstruction with independent restarts.
 
-    Restart r runs on the seed's Philox stream jumped r blocks, so restarts
-    are reproducible and order-independent; the restart with the lowest
-    final gradient distance wins.  A run that exhausts the step cap without
-    the transcript stabilizing is flagged non-converged but still returned.
+    Restart r starts from draws on the seed's Philox stream jumped r blocks,
+    so restarts are reproducible and order-independent.  The restarts
+    descend together (see :func:`_descend`), each stopping on its own; the
+    one with the lowest final gradient distance wins, the first in restart
+    order on ties.  A run that exhausts the step cap without the transcript
+    stabilizing is flagged non-converged but still returned.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = None
+    a = np.empty((restarts, prob.s, prob.decoder.d_a))
+    p = np.empty((restarts, prob.s, prob.width))
     for ridx in range(restarts):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(ridx))
-        outcome = _single_run(prob, rng)
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-    transcript, distance, objective, steps, converged = best
+        a[ridx] = rng.normal(0.0, 0.01, size=a.shape[1:])
+        p[ridx] = rng.normal(0.0, 0.01, size=p.shape[1:])
+    outcomes = _descend(prob, a, p)
+    transcript, distance, objective, steps, converged = min(outcomes, key=lambda o: o[1])
     wer_value = None
     em = None
     if truth is not None:
@@ -265,4 +315,5 @@ def reconstruct(prob: GMProblem, seed: int = 0, *, restarts: int = 1,
         em = tuple(truth_seq) == transcript
     return GMResult(transcript=transcript, final_loss=distance, steps=steps,
                     wer_vs_truth=wer_value, exact_match=em, n_vars=prob.n_vars,
-                    converged=converged, restarts=restarts, objective=objective)
+                    converged=converged, restarts=restarts, objective=objective,
+                    runs=tuple((o[3], o[1], o[4]) for o in outcomes))

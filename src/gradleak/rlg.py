@@ -26,9 +26,10 @@ primal separator witness, exposed via :func:`lp_separator`.
 
 Every label decision is the LP's answer or a named error: an LP that runs
 past DEFAULT_MAX_PIVOTS raises LpPivotLimitError, and one whose basis turns
-singular raises LpSingularBasisError.  Neither is read as "not a label",
-since the label whose LP failed may be a true one (floating-point ties can
-make Bland's rule cycle on a true label's LP until the cap).
+singular raises LpSingularBasisError; both name that label.  Neither is
+read as "not a label", since the label whose LP failed may be a true one
+(floating-point ties can make Bland's rule cycle on a true label's LP until
+the cap).
 """
 
 from __future__ import annotations
@@ -61,23 +62,28 @@ class RankAssumptionError(ValueError):
 
 
 class LpPivotLimitError(RuntimeError):
-    """Simplex pivot cap exceeded before reaching optimality."""
+    """Simplex pivot cap exceeded before reaching optimality on the LP of
+    label `label`."""
 
-    def __init__(self, pivots: int):
-        super().__init__(f"LP feasibility solve exceeded {pivots} pivots")
+    def __init__(self, pivots: int, label: int):
+        super().__init__(f"LP feasibility solve for label {label} exceeded {pivots} pivots")
         self.pivots = pivots
+        self.label = label
 
 
 class LpSingularBasisError(RuntimeError):
     """The simplex basis matrix turned singular at a refactorisation.
 
     A numerical failure, not a pivot-cap overrun (LpPivotLimitError); like
-    that one it fails the attack rather than decide the label.
+    that one it fails the attack rather than decide the label.  `label` is
+    the label whose LP failed.
     """
 
-    def __init__(self, pivots: int):
-        super().__init__(f"LP basis matrix singular at refactorisation after {pivots} pivots")
+    def __init__(self, pivots: int, label: int):
+        super().__init__(f"LP basis matrix for label {label} singular at refactorisation "
+                         f"after {pivots} pivots")
         self.pivots = pivots
+        self.label = label
 
 
 @dataclass(frozen=True)
@@ -305,7 +311,7 @@ def _solve_labels(q: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     if failed.any():
         i = failed.nonzero()[0][0]
         error = LpSingularBasisError if failed[i] == _SINGULAR else LpPivotLimitError
-        raise error(int(pivots[i]))
+        raise error(int(pivots[i]), int(labels[i]))
     return dist >= LP_MARGIN, -y
 
 

@@ -120,8 +120,8 @@ class GradientCase:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,15 @@ class ToyDecoder:
         return self.w.shape[1]
 
     def logits(self, a: np.ndarray) -> np.ndarray:
+        """Logits of one (S, d_a) block of rows, or of a stack (R, S, d_a)
+        of them; the offsets pos[:S] apply to every block of the stack."""
         z = a @ self.w + self.b
         if self.pos is not None:
-            if a.shape[0] > self.pos.shape[0]:
+            s = a.shape[-2]
+            if s > self.pos.shape[0]:
                 raise ValueError(f"decoder supports sequences up to {self.pos.shape[0]}, "
-                                 f"got {a.shape[0]}")
-            z = z + self.pos[:a.shape[0]]
+                                 f"got {s}")
+            z = z + self.pos[:s]
         return z
 
 

@@ -254,6 +254,12 @@ def test_gm_subcommand_end_to_end(tmp_path):
     assert doc["result"]["n_vars"] == 2 * (6 + len(set(truth)))
     assert doc["config"]["s_used"] == 2
     assert doc["result"]["final_loss"] < 0.5
+    # one record per restart; the kept one carries the reported loss and steps
+    runs = doc["result"]["runs"]
+    assert len(runs) == 2
+    kept = min(runs, key=lambda r: r["distance"])
+    assert (kept["distance"], kept["steps"], kept["converged"]) == (
+        doc["result"]["final_loss"], doc["result"]["steps"], doc["result"]["converged"])
 
 
 def test_gm_positional_offsets_decide_order_through_files(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from gradleak import gm
 from gradleak.gm import (GMProblem, ToyDecoder, decoder_gradient, gm_gradients,
                          gm_objective, make_problem, reconstruct, regularizer,
                          smooth_label_loss)
+from gradleak.metrics import wer
 
 
 def small_decoder(seed=0, d_a=5, classes=8, pos_std=0.0):
@@ -164,6 +166,8 @@ def test_problem_validation():
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(-1,))
     with pytest.raises(ValueError):
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, lam=-0.5)
+    with pytest.raises(ValueError, match="step cap"):
+        GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, max_steps=0)
 
 
 def test_singleton_search_space():
@@ -246,3 +250,146 @@ def test_decoder_positional_shape_guard():
     rng = np.random.default_rng(20)
     with pytest.raises(ValueError):
         dec.logits(rng.normal(size=(5, 5)))
+
+
+def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
+    # the one-restart-at-a-time loop the stacked descent replaced, kept as
+    # the reference; nan_at=(r, t) makes restart r's gradient NaN at step t
+    def single_run(ridx, rng):
+        a = rng.normal(0.0, 0.01, size=(prob.s, prob.decoder.d_a))
+        p = rng.normal(0.0, 0.01, size=(prob.s, prob.width))
+        transcript = tuple(prob.cols[p.argmax(axis=1)].tolist())
+        last_change = 0
+        converged = False
+        step = 0
+        for step in range(1, prob.max_steps + 1):
+            lr = max(gm.LR_FLOOR, gm.LR_INIT * 0.5 ** ((step - 1) // gm.LR_HALVE_EVERY))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ga, gp = gm_gradients(a, p, prob)
+                if nan_at == (ridx, step):
+                    ga = np.full_like(ga, np.nan)
+                a -= lr * ga
+                p -= lr * gp
+            if not (np.isfinite(a).all() and np.isfinite(p).all()):
+                return transcript, float("inf"), float("inf"), step, False
+            current = tuple(prob.cols[p.argmax(axis=1)].tolist())
+            if current != transcript:
+                transcript = current
+                last_change = step
+            if step - last_change >= gm.STABLE_STEPS:
+                converged = True
+                break
+        m = gm._forward(a, p, prob.decoder, prob.cols)[1]
+        diff = a.T @ m - prob.target_grad
+        distance = float(np.sqrt((diff * diff).sum()))
+        objective = distance * distance + prob.lam * regularizer(p)
+        return transcript, distance, objective, step, converged
+
+    outcomes = [single_run(r, np.random.Generator(np.random.Philox(key=seed).jumped(r)))
+                for r in range(restarts)]
+    best = None
+    for outcome in outcomes:
+        if best is None or outcome[1] < best[1]:
+            best = outcome
+    transcript, distance, objective, steps, converged = best
+    wer_value = em = None
+    if truth is not None:
+        wer_value = wer(list(truth), list(transcript))
+        em = tuple(truth) == transcript
+    return gm.GMResult(transcript=transcript, final_loss=distance, steps=steps,
+                       wer_vs_truth=wer_value, exact_match=em, n_vars=prob.n_vars,
+                       converged=converged, restarts=restarts, objective=objective,
+                       runs=tuple((o[3], o[1], o[4]) for o in outcomes))
+
+
+def _bits(result):
+    # every field, with floats as exact hex
+    def exact(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(exact(x) for x in v)
+        return v
+    return {name: exact(getattr(result, name)) for name in gm.GMResult.__dataclass_fields__}
+
+
+def _table4_instance(seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    dec = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)), b=rng.normal(0.0, 0.1, 50),
+                     pos=rng.normal(0.0, 1.0, (3, 50)))
+    labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
+    return dec, rng.normal(0.0, 1.0, (3, 8)), labels
+
+
+def test_stacked_gradients_equal_per_slice_calls():
+    dec = small_decoder(seed=23, pos_std=1.0)
+    rng = np.random.default_rng(24)
+    context = rng.normal(size=(3, 5))
+    for bow in ((0, 3, 6), None):
+        prob = make_problem(dec, context, [3, 6, 0], bow=bow, lam=0.7)
+        a = rng.normal(0.0, 0.7, (4, 3, 5))
+        p = rng.normal(0.0, 0.7, (4, 3, prob.width))
+        ga, gp = gm_gradients(a, p, prob)
+        assert ga.shape == a.shape and gp.shape == p.shape
+        for r in range(4):
+            ga_r, gp_r = gm_gradients(a[r], p[r], prob)
+            assert ga[r].tobytes() == ga_r.tobytes()
+            assert gp[r].tobytes() == gp_r.tobytes()
+    with pytest.raises(ValueError):
+        gm_gradients(a, p[:, :2], prob)
+    with pytest.raises(ValueError):
+        gm_gradients(a[0, 0], p[0, 0], prob)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+@pytest.mark.parametrize("restricted", [True, False])
+def test_stacked_descent_matches_serial_reference(restarts, restricted):
+    dec = small_decoder(seed=25, pos_std=1.0)
+    rng = np.random.default_rng(26)
+    labels = [2, 7, 4]
+    bow = (2, 4, 7) if restricted else None
+    prob = make_problem(dec, rng.normal(size=(3, 5)), labels, bow=bow, lam=0.5,
+                        max_steps=2300)
+    got = reconstruct(prob, seed=7, restarts=restarts, truth=labels)
+    assert _bits(got) == _bits(_serial_reconstruct(prob, 7, restarts, labels))
+    assert len(got.runs) == restarts
+
+
+@pytest.mark.parametrize("restricted", [True, False])
+def test_stacked_descent_matches_serial_reference_table4(restricted):
+    # at a 2500-step cap some restarts converge and others run to the cap
+    dec, context, labels = _table4_instance(909)
+    bow = tuple(sorted(labels)) if restricted else None
+    prob = make_problem(dec, context, labels, bow=bow, lam=0.1, max_steps=2500)
+    got = reconstruct(prob, seed=909, restarts=5, truth=labels)
+    assert _bits(got) == _bits(_serial_reconstruct(prob, 909, 5, labels))
+    assert {converged for _, _, converged in got.runs} == {True, False}
+    assert any(steps == 2500 for steps, _, _ in got.runs)
+    assert got.final_loss == min(distance for _, distance, _ in got.runs)
+
+
+def test_diverged_restart_leaves_the_others_unchanged(monkeypatch):
+    dec = small_decoder(seed=27, pos_std=1.0)
+    rng = np.random.default_rng(28)
+    labels = [1, 5, 3]
+    prob = make_problem(dec, rng.normal(size=(3, 5)), labels, bow=(1, 3, 5), lam=0.5,
+                        max_steps=2300)
+    want = _serial_reconstruct(prob, 11, 4, labels, nan_at=(2, 40))
+    assert want.runs[2] == (40, float("inf"), False)
+    kernel = gm.gm_gradients
+    calls = []
+
+    def nan_in_slice(a, p, prob):
+        ga, gp = kernel(a, p, prob)
+        calls.append(a.shape[0])
+        if len(calls) == 40:
+            # no restart can have stopped before STABLE_STEPS, so restart 2
+            # is still slice 2
+            ga = ga.copy()
+            ga[2] = np.nan
+        return ga, gp
+
+    monkeypatch.setattr(gm, "gm_gradients", nan_in_slice)
+    got = reconstruct(prob, seed=11, restarts=4, truth=labels)
+    assert _bits(got) == _bits(want)
+    assert calls[:40] == [4] * 40 and calls[40] == 3

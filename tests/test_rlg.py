@@ -142,12 +142,23 @@ def test_lp_separator_witness_satisfies_constraints():
 def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
     monkeypatch.setattr(rlg, "DEFAULT_MAX_PIVOTS", 0)
     q = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(LpPivotLimitError):
+    with pytest.raises(LpPivotLimitError) as err:
         lp_feasible(q, 0)
+    assert err.value.label == 0
     case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
     with pytest.raises(LpPivotLimitError) as err:
         rlg_attack(case.delta_w)
     assert err.value.pivots == 1
+    # every label's LP needs a pivot; the lowest one is named
+    assert err.value.label == 0 and "label 0 " in str(err.value)
+    _, q = extract_q(case.delta_w)
+    with pytest.raises(LpPivotLimitError) as err:
+        lp_feasible(q, 9)
+    assert err.value.label == 9
+    # the first failing label in solve order, by label and not by position
+    with pytest.raises(LpPivotLimitError) as err:
+        _solve_labels(q, np.array([7, 3]))
+    assert err.value.label == 7
 
 
 def test_singular_basis_names_its_cause(monkeypatch):
@@ -164,11 +175,20 @@ def test_singular_basis_names_its_cause(monkeypatch):
     with pytest.raises(LpSingularBasisError) as err:
         lp_feasible(q, 0)
     assert err.value.pivots == 64
+    assert err.value.label == 0
     assert not isinstance(err.value, LpPivotLimitError)
-    # the whole attack solves its labels together and fails the same way
+    with pytest.raises(LpSingularBasisError) as err:
+        lp_feasible(q, 24)
+    assert err.value.label == 24
+    with pytest.raises(LpSingularBasisError) as err:
+        _solve_labels(q, np.array([50, 24]))
+    assert err.value.label == 50
+    # the whole attack solves its labels together and fails the same way,
+    # naming the lowest failing label
     with pytest.raises(LpSingularBasisError) as err:
         rlg_attack(case.delta_w)
     assert err.value.pivots == 64
+    assert err.value.label == 0 and "label 0 " in str(err.value)
 
 
 def _cycling_capture():
@@ -254,7 +274,7 @@ def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatc
         assert len(kept) < q.shape[1], tag
         for c in range(q.shape[1]):
             d, _, _ = _serial_cone_distance(q[:, anchors[anchors != c]], q[:, c].copy(),
-                                            DEFAULT_MAX_PIVOTS, 0.5e-6)
+                                            DEFAULT_MAX_PIVOTS, 0.5e-6, c)
             assert (c in kept) == (d >= LP_MARGIN), (tag, c)
 
 
@@ -342,7 +362,7 @@ def test_screen_equivalence_large_vocabulary():
     assert 16000 - len(screen(q)) > 15000
 
 
-def _serial_cone_distance(generators, target, max_pivots, stop_below):
+def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
     # the one-label-at-a-time solver the lockstep kernel replaced, kept as
     # the reference: generators are q without the label's column
     s = target.shape[0]
@@ -358,7 +378,7 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below):
             try:
                 binv = np.linalg.inv(bmat)
             except np.linalg.LinAlgError as exc:
-                raise LpSingularBasisError(pivots) from exc
+                raise LpSingularBasisError(pivots, label) from exc
         xb = binv @ target
         value = float(cb @ xb)
         y = cb @ binv
@@ -390,7 +410,7 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below):
             return max(value, 0.0), y, pivots
         rows = np.flatnonzero(u > 1e-12)
         if rows.size == 0:
-            raise LpPivotLimitError(pivots)
+            raise LpPivotLimitError(pivots, label)
         ratios = xb[rows] / u[rows]
         best = ratios.min()
         tied = rows[ratios <= best + 1e-15]
@@ -403,7 +423,7 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below):
         binv += np.outer(eta, binv[leave])
         pivots += 1
         if pivots > max_pivots:
-            raise LpPivotLimitError(pivots)
+            raise LpPivotLimitError(pivots, label)
 
 
 def test_lockstep_matches_serial_solver_exactly(captures):
@@ -417,7 +437,7 @@ def test_lockstep_matches_serial_solver_exactly(captures):
         assert not failed.any(), tag
         for c in range(n):
             d, yc, p = _serial_cone_distance(np.delete(q, c, axis=1), q[:, c].copy(),
-                                             DEFAULT_MAX_PIVOTS, stop_below)
+                                             DEFAULT_MAX_PIVOTS, stop_below, c)
             assert (dist[c], pivots[c]) == (d, p), (tag, c)
             assert np.array_equal(y[c], yc), (tag, c)
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import as_matrix, default_rank_tol, numeric_rank, svd
+from .linalg import as_matrix, svd
 from .rlg import LabelSetPrediction
 
 
@@ -26,7 +26,7 @@ def idlg_single(delta_w) -> int:
     signature raises NotSingleSampleError.
     """
     a = as_matrix(delta_w, "delta_w")
-    rank = numeric_rank(svd(a).singular, default_rank_tol(*a.shape))
+    rank = svd(a).rank
     if rank != 1:
         warnings.warn(f"update has numeric rank {rank}, not 1; single-sample "
                       "recovery is unreliable", RuntimeWarning, stacklevel=2)

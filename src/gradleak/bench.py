@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import idlg_single, min_column_attack
 from .defense import grad_drop, sign_sgd
 from .gm import gm_gradients, gm_objective, make_problem, reconstruct
-from .linalg import default_rank_tol, numeric_rank, svd
+from .linalg import svd
 from .metrics import length_error, set_score
 from .rlg import RlgConfig, rlg_attack
 from .simulator import (LATENT_KINDS, Scenario, ToyDecoder, projection_grad,
@@ -72,7 +72,7 @@ def rank_inference(seed: int = 202) -> CriterionResult:
             sc = Scenario(d=64, classes=100, mode="batch", n=s, latent="gauss",
                           seed=seed * 100000 + s * 100 + i)
             case = simulate_case(sc)
-            rank = numeric_rank(svd(case.delta_w).singular, default_rank_tol(64, 100))
+            rank = svd(case.delta_w).rank
             matches += int(rank == s)
             total += 1
     le_by_k = {}
@@ -82,7 +82,7 @@ def rank_inference(seed: int = 202) -> CriterionResult:
             sc = Scenario(d=64, classes=100, mode="multistep", n=10, k=k,
                           latent="gauss", seed=seed * 1000 + k * 50 + i)
             case = simulate_case(sc)
-            rank = numeric_rank(svd(case.delta_w).singular, default_rank_tol(64, 100))
+            rank = svd(case.delta_w).rank
             errs.append(length_error(rank, case.true_s))
         le_by_k[k] = sum(errs) / len(errs)
     passed = matches >= 99 and le_by_k[8] > 0.0 and le_by_k[8] >= le_by_k[4]

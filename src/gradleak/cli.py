@@ -152,6 +152,9 @@ def _attack_one(path: str, args) -> dict:
     try:
         case = load_case(path).case
         delta_w = read_grd(args.delta_grd) if args.delta_grd else case.delta_w
+        if delta_w.shape != case.delta_w.shape:
+            raise ValueError(f"--delta-grd update shape {delta_w.shape} does not "
+                             f"match case update {case.delta_w.shape}")
         if args.attack == "rlg":
             cfg = RlgConfig(rank_tol_rel=args.rank_tol, assume_s=_chosen_s(args, case))
             pred = rlg_attack(delta_w, cfg)
@@ -248,7 +251,7 @@ def _cmd_gm(args) -> int:
             raise ValueError("rlg attack recovered no labels; cannot restrict the search")
         bow = tuple(sorted(pred.labels))
     elif s_used is None:
-        s_used, _ = extract_q(case.delta_w, RlgConfig())
+        s_used, _, _ = extract_q(case.delta_w, RlgConfig())
     # undo the 1/S averaging of the stored update so the matching target is
     # the plain summed decoder gradient
     target = case.delta_w * float(s_used)

@@ -49,12 +49,15 @@ class SvdResult:
 
     `left` has orthonormal columns, `right` orthonormal rows, `singular` is
     non-negative and non-increasing.  Signs are canonical: the first nonzero
-    entry of every row of `right` is non-negative.
+    entry of every row of `right` is non-negative.  `rank` is the number of
+    computed directions, numeric_rank(singular, default_rank_tol(rows,
+    cols)); the factors past it are an orthonormal completion.
     """
 
     left: np.ndarray
     singular: np.ndarray
     right: np.ndarray
+    rank: int
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular) @ self.right
@@ -221,7 +224,7 @@ def svd(m) -> SvdResult:
     right[flip] *= -1.0
     left[:, flip] *= -1.0
 
-    return SvdResult(left=left, singular=sig, right=right)
+    return SvdResult(left=left, singular=sig, right=right, rank=k)
 
 
 def default_rank_tol(rows: int, cols: int) -> float:

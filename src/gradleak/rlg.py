@@ -1,10 +1,10 @@
 """Label-set recovery from a projection-layer update.
 
 Pipeline: infer the contributing sample count S from the numeric rank of the
-update, take the top-S right-singular rows Q, screen the label columns of Q
-with the same LP restricted to the largest-norm columns (only when C
-exceeds that anchor count), then decide per-label membership by
-linear-programming feasibility.  The surviving labels' LPs are solved
+update, take the top-S right-singular rows Q (never more than the rows the
+SVD computed), screen the label columns of Q with the same LP restricted to
+the largest-norm columns (only when C exceeds that anchor count), then
+decide per-label membership by linear-programming feasibility.  The surviving labels' LPs are solved
 together in lockstep; each label's decision is the one a solve of its own
 would give.  A label c is kept when some vector r in the unit box
 |r_k| <= 1 satisfies
@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_matrix, default_rank_tol, numeric_rank, svd
+from .linalg import as_matrix, numeric_rank, svd
 
 LP_MARGIN = 1e-6  # strict separation a kept label needs, in the unit box
 DEGENERATE_FLOOR = 1e-30
@@ -92,8 +92,8 @@ class RlgConfig:
     no knobs (LP_MARGIN in the unit box, see the module docstring).
 
     rank_tol_rel: relative singular-value cutoff for rank inference (None
-    uses `default_rank_tol`, max(d, C) * eps).  assume_s overrides rank
-    inference entirely.
+    uses `default_rank_tol`, max(d, C) * eps).  assume_s sets S in place of
+    the rank; Q still stops at the rank the SVD computed (see `extract_q`).
     """
 
     rank_tol_rel: Optional[float] = None
@@ -118,13 +118,24 @@ class LabelSetPrediction:
     rank_estimate: Optional[int] = None
 
 
-def _extract(a: np.ndarray, cfg: RlgConfig) -> tuple[int, np.ndarray, int]:
+def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray, int]:
+    """Read S off the update; returns (S, Q, rank).
+
+    rank is the numeric rank (`svd`'s own count, or the count above
+    cfg.rank_tol_rel), and S is cfg.assume_s or else the rank.  Q holds the
+    top right-singular rows, at most the rank `svd` computed: an assumed S
+    above it does not pull in the SVD's orthonormal completion, so Q never
+    depends on how the null space was filled.
+
+    Raises DegenerateUpdateError when ||delta_w||_F is below an absolute
+    floor, and RankAssumptionError when the inferred S reaches min(d, C).
+    """
+    a = as_matrix(delta_w, "delta_w")
     if float(np.linalg.norm(a)) < DEGENERATE_FLOOR:
         raise DegenerateUpdateError("degenerate update: Frobenius norm below 1e-30")
     d, c = a.shape
     res = svd(a)
-    tol = cfg.rank_tol_rel if cfg.rank_tol_rel is not None else default_rank_tol(d, c)
-    rank = numeric_rank(res.singular, tol)
+    rank = res.rank if cfg.rank_tol_rel is None else numeric_rank(res.singular, cfg.rank_tol_rel)
     if cfg.assume_s is not None:
         if not (1 <= cfg.assume_s <= min(d, c) - 1):
             raise ValueError(f"assume_s must lie in [1, {min(d, c) - 1}], got {cfg.assume_s}")
@@ -134,17 +145,7 @@ def _extract(a: np.ndarray, cfg: RlgConfig) -> tuple[int, np.ndarray, int]:
         if s >= min(d, c):
             raise RankAssumptionError(
                 f"assumption violated: inferred S={s} not below min(d, C)={min(d, c)}")
-    return s, np.ascontiguousarray(res.right[:s]), rank
-
-
-def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray]:
-    """Infer S and return the top-S right-singular rows of the update.
-
-    Raises DegenerateUpdateError when ||delta_w||_F is below an absolute
-    floor, and RankAssumptionError when the inferred S reaches min(d, C).
-    """
-    s, q, _ = _extract(as_matrix(delta_w, "delta_w"), cfg)
-    return s, q
+    return s, np.ascontiguousarray(res.right[:min(s, res.rank)]), rank
 
 
 def _invert(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,33 +316,25 @@ def _solve_labels(q: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return dist >= LP_MARGIN, -y
 
 
-def _one_label(q, c: int) -> tuple[np.ndarray, np.ndarray]:
-    q = as_matrix(q, "q")
-    if not (0 <= c < q.shape[1]):
-        raise ValueError(f"label {c} out of range for {q.shape[1]} columns")
-    return q, np.array([c], dtype=np.intp)
-
-
-def lp_feasible(q, c: int) -> bool:
-    """Decide whether label column c is strictly separable from the rest.
-
-    A run past DEFAULT_MAX_PIVOTS pivots raises LpPivotLimitError, and a
-    singular basis at refactorisation raises LpSingularBasisError.
-    """
-    q, labels = _one_label(q, c)
-    feasible, _ = _solve_labels(q, labels)
-    return bool(feasible[0])
-
-
 def lp_separator(q, c: int) -> Optional[np.ndarray]:
     """Return an explicit separating vector r for label c, or None.
 
     When not None, r satisfies r . q_c <= -LP_MARGIN, r . q_j >= 0 for all
-    j != c, and |r|_inf <= 1 (up to solver tolerance).
+    j != c, and |r|_inf <= 1 (up to solver tolerance).  A run past
+    DEFAULT_MAX_PIVOTS pivots raises LpPivotLimitError, and a singular basis
+    at refactorisation raises LpSingularBasisError.
     """
-    q, labels = _one_label(q, c)
-    feasible, r = _solve_labels(q, labels)
+    q = as_matrix(q, "q")
+    if not (0 <= c < q.shape[1]):
+        raise ValueError(f"label {c} out of range for {q.shape[1]} columns")
+    feasible, r = _solve_labels(q, np.array([c], dtype=np.intp))
     return r[0] if feasible[0] else None
+
+
+def lp_feasible(q, c: int) -> bool:
+    """Decide whether label column c is strictly separable from the rest
+    (`lp_separator` found a separator)."""
+    return lp_separator(q, c) is not None
 
 
 def screen(q) -> set[int]:
@@ -384,8 +377,7 @@ def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig()) -> LabelSetPrediction:
     LpSingularBasisError or LpPivotLimitError is raised, as a label-by-label
     loop would.  The screen itself never raises.
     """
-    a = as_matrix(delta_w, "delta_w")
-    s, q, rank_estimate = _extract(a, cfg)
+    s, q, rank_estimate = extract_q(delta_w, cfg)
     cols = np.array(sorted(screen(q)), dtype=np.intp)
     feasible, _ = _solve_labels(q, cols)
     return LabelSetPrediction(inferred_s=s, labels=frozenset(cols[feasible].tolist()),

@@ -6,7 +6,8 @@ import pytest
 
 import gradleak.rlg
 from gradleak import bench
-from gradleak.caseio import load_case, load_report, read_grd, save_case, save_decoder
+from gradleak.caseio import (load_case, load_report, read_grd, save_case, save_decoder,
+                             write_grd)
 from gradleak.cli import main
 from gradleak.gm import ToyDecoder, decoder_gradient
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
@@ -236,6 +237,23 @@ def test_grd_sidecar_and_override(tmp_path):
     assert main(["attack", "idlg", case_path, "--delta-grd", grd_path,
                  "--report", report]) == 0
     assert load_report(report)["per_case"][0]["set_score"]["exact_match"] is True
+
+
+def test_delta_grd_shape_must_match_the_case(tmp_path):
+    # a sidecar of another shape is not scored against the case's labels
+    case_path = str(tmp_path / "case.json")
+    grd_path = str(tmp_path / "other.grd")
+    report = str(tmp_path / "rep.json")
+    main(["simulate", "--mode", "batch", "--n", "2", "--d", "8", "--classes", "6",
+          "--seed", "3", "--out", case_path])
+    write_grd(grd_path, np.random.default_rng(0).normal(size=(10, 30)))
+    for attack in ("rlg", "idlg", "mincol"):
+        assert main(["attack", attack, case_path, "--delta-grd", grd_path,
+                     "--report", report]) == 1
+        entry = load_report(report)["per_case"][0]
+        assert entry["error"] == ("ValueError: --delta-grd update shape (10, 30) does "
+                                  "not match case update (8, 6)")
+        assert "predicted_labels" not in entry
 
 
 def test_gm_subcommand_end_to_end(tmp_path):

@@ -47,6 +47,7 @@ def test_svd_invariants_random_shapes(shape):
     assert res.right.shape == (r, shape[1])
     assert (np.diff(res.singular) <= 0.0).all()
     assert (res.singular >= 0.0).all()
+    assert res.rank == numeric_rank(res.singular, default_rank_tol(*shape)) == r
     assert np.abs(res.left.T @ res.left - np.eye(r)).max() <= 1e-10
     assert np.abs(res.right @ res.right.T - np.eye(r)).max() <= 1e-10
     rel = np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a)
@@ -80,11 +81,11 @@ def test_svd_low_rank_product_and_zero_matrix():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 30))
     res = svd(a)
-    assert numeric_rank(res.singular, default_rank_tol(40, 30)) == 3
+    assert res.rank == numeric_rank(res.singular, default_rank_tol(40, 30)) == 3
     assert np.abs(res.right @ res.right.T - np.eye(30)).max() <= 1e-10
 
     res = svd(np.zeros((4, 6)))
-    assert res.singular.tolist() == [0.0] * 4
+    assert res.singular.tolist() == [0.0] * 4 and res.rank == 0
     assert np.abs(res.right @ res.right.T - np.eye(4)).max() == 0.0
 
 
@@ -96,7 +97,7 @@ def test_svd_rank_deficient_completion(shape):
     a = rng.normal(size=(shape[0], 8)) @ rng.normal(size=(8, shape[1]))
     res = svd(a)
     r = min(shape)
-    assert numeric_rank(res.singular, default_rank_tol(*shape)) == 8
+    assert res.rank == numeric_rank(res.singular, default_rank_tol(*shape)) == 8
     assert res.left.shape == (shape[0], r) and res.right.shape == (r, shape[1])
     assert np.abs(res.left.T @ res.left - np.eye(r)).max() <= 1e-10
     assert np.abs(res.right @ res.right.T - np.eye(r)).max() <= 1e-10

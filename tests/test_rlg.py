@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradleak import rlg
+from gradleak import linalg, rlg
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
 from gradleak.rlg import (DEFAULT_MAX_PIVOTS, LP_MARGIN, DegenerateUpdateError,
@@ -39,7 +39,7 @@ def test_config_validation():
 
 def test_extract_q_single_sample():
     case = simulate_case(Scenario(d=8, classes=5, mode="single", seed=2))
-    s, q = extract_q(case.delta_w)
+    s, q, _ = extract_q(case.delta_w)
     assert s == 1
     assert q.shape == (1, 5)
 
@@ -52,7 +52,7 @@ def test_extract_q_zero_matrix_degenerate():
 def test_extract_q_batch_rank_and_orthonormal_rows():
     case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=5,
                                   latent="tanh", seed=3))
-    s, q = extract_q(case.delta_w)
+    s, q, _ = extract_q(case.delta_w)
     assert s == 5
     assert np.abs(q @ q.T - np.eye(5)).max() <= 1e-10
 
@@ -70,20 +70,53 @@ def test_extract_q_assume_s_bounds():
         extract_q(case.delta_w, RlgConfig(assume_s=5))
     with pytest.raises(ValueError):
         extract_q(case.delta_w, RlgConfig(assume_s=0))
-    s, q = extract_q(case.delta_w, RlgConfig(assume_s=3))
-    assert s == 3 and q.shape == (3, 5)
+    s, q, rank = extract_q(case.delta_w, RlgConfig(assume_s=3))
+    assert s == 3 and rank == 1 and q.shape == (1, 5)
 
 
-def test_extract_q_assume_s_above_rank_takes_completion_rows():
-    # rows past the numeric rank come from the SVD's orthonormal completion
+def test_extract_q_assume_s_above_rank_stops_at_the_rank():
+    # an assumed S above the numeric rank is kept as S, but Q stops at the
+    # rows the SVD computed: it is the inferred-S Q, never the completion
     case = simulate_case(Scenario(d=16, classes=20, mode="batch", n=3,
                                   latent="gauss", seed=4))
-    s, q = extract_q(case.delta_w, RlgConfig(assume_s=7))
-    assert s == 7 and q.shape == (7, 20)
-    rank, q_live = extract_q(case.delta_w)
-    assert rank == 3
-    assert np.array_equal(q[:3], q_live)
-    assert np.abs(q @ q.T - np.eye(7)).max() <= 1e-10
+    s, q, rank = extract_q(case.delta_w, RlgConfig(assume_s=7))
+    assert s == 7 and rank == 3 and q.shape == (3, 20)
+    s_live, q_live, _ = extract_q(case.delta_w)
+    assert s_live == 3
+    assert np.array_equal(q, q_live)
+    # a rank tolerance below the SVD's own counts noise directions as rank,
+    # and Q still stops at the SVD's rank
+    s, q, rank = extract_q(case.delta_w, RlgConfig(rank_tol_rel=1e-300, assume_s=7))
+    assert s == 7 and rank > 3
+    assert np.array_equal(q, q_live)
+
+
+def test_labels_do_not_depend_on_the_svd_completion(monkeypatch):
+    # relu sign copies run with the true S sit above the numeric rank; any
+    # orthonormal completion of the computed directions is as valid as
+    # linalg's own, and the labels must not change with it
+    fill = linalg._orthonormal_fill
+
+    def rotated_fill(u, k):
+        fill(u, k)
+        n = u.shape[1] - k
+        rot, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(n, n)))
+        u[:, k:] = u[:, k:] @ rot
+
+    for seed in (8201, 8204):
+        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
+                                      latent="relu", seed=seed))
+        dw = apply_defense(case.delta_w, DefenseSpec("sign"))
+        cfg = RlgConfig(assume_s=case.true_s)
+        base = rlg_attack(dw, cfg)
+        assert base.rank_estimate < base.inferred_s == 10
+        rank, plain = base.rank_estimate, linalg.svd(dw)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_orthonormal_fill", rotated_fill)
+            other = linalg.svd(dw)
+            assert np.array_equal(other.right[:rank], plain.right[:rank])
+            assert not np.allclose(other.right[rank:], plain.right[rank:])
+            assert rlg_attack(dw, cfg).labels == base.labels, seed
 
 
 def test_lp_feasible_analytic_examples():
@@ -117,7 +150,7 @@ def test_lp_agrees_with_angular_grid_oracle():
     for seed in range(50):
         case = simulate_case(Scenario(d=10, classes=12, mode="batch", n=2,
                                       latent="gauss", seed=5000 + seed))
-        s, q = extract_q(case.delta_w, cfg)
+        s, q, _ = extract_q(case.delta_w, cfg)
         assert s == 2
         for c in range(12):
             assert lp_feasible(q, c) == grid_separable(q, c, LP_MARGIN)
@@ -128,7 +161,7 @@ def test_lp_separator_witness_satisfies_constraints():
     for seed in range(20):
         case = simulate_case(Scenario(d=16, classes=20, mode="batch", n=3,
                                       latent="gauss", seed=6000 + seed))
-        _, q = extract_q(case.delta_w, cfg)
+        _, q, _ = extract_q(case.delta_w, cfg)
         for c in range(20):
             r = lp_separator(q, c)
             if r is None:
@@ -151,7 +184,7 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
     assert err.value.pivots == 1
     # every label's LP needs a pivot; the lowest one is named
     assert err.value.label == 0 and "label 0 " in str(err.value)
-    _, q = extract_q(case.delta_w)
+    _, q, _ = extract_q(case.delta_w)
     with pytest.raises(LpPivotLimitError) as err:
         lp_feasible(q, 9)
     assert err.value.label == 9
@@ -166,7 +199,7 @@ def test_singular_basis_names_its_cause(monkeypatch):
     # refactorisation at pivot 64
     case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
                                   latent="tanh", seed=7000))
-    _, q = extract_q(case.delta_w)
+    _, q, _ = extract_q(case.delta_w)
 
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -198,7 +231,7 @@ def _cycling_capture():
                                   seed=102 * 1_000_003 + 12))
     assert case.true_labels == (84,)
     dw = apply_defense(case.delta_w, DefenseSpec("drop", 0.9))
-    s, q = extract_q(dw)
+    s, q, _ = extract_q(dw)
     assert s == 22
     return dw, q
 
@@ -224,7 +257,7 @@ def test_cycling_true_label_lp_is_decided_feasible():
 
 def test_screen_small_class_count_passes_everything():
     case = simulate_case(Scenario(d=32, classes=40, mode="batch", n=4, seed=7))
-    _, q = extract_q(case.delta_w, RlgConfig(assume_s=4))
+    _, q, _ = extract_q(case.delta_w, RlgConfig(assume_s=4))
     assert screen(q) == set(range(40))
 
 
@@ -243,7 +276,7 @@ def _brute_force_labels(q):
 def test_screen_soundness_on_oversized_vocab():
     # everything filtered out must be LP-infeasible
     case, cfg = _wide_capture(8)
-    _, q = extract_q(case.delta_w, cfg)
+    _, q, _ = extract_q(case.delta_w, cfg)
     survivors = screen(q)
     rejected = set(range(600)) - survivors
     assert rejected, "filter should reject something at this size"
@@ -259,7 +292,7 @@ def test_screen_equivalence_moderate_size():
         case, cfg = _wide_capture(seed)
         for dw in (case.delta_w, apply_defense(case.delta_w, DefenseSpec("drop", 0.9)),
                    apply_defense(case.delta_w, DefenseSpec("sign"))):
-            _, q = extract_q(dw, cfg)
+            _, q, _ = extract_q(dw, cfg)
             assert rlg_attack(dw, cfg).labels == _brute_force_labels(q)
             assert len(screen(q)) < 60
 
@@ -280,7 +313,7 @@ def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatc
 
 def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
     case, cfg = _wide_capture(8)
-    _, q = extract_q(case.delta_w, cfg)
+    _, q, _ = extract_q(case.delta_w, cfg)
     rejected = set(range(600)) - screen(q)
 
     def singular(_):
@@ -307,7 +340,7 @@ def test_attack_statuses_partition_labels():
     # a label is kept exactly when its LP is feasible; the rest are not
     case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
     pred = rlg_attack(case.delta_w)
-    _, q = extract_q(case.delta_w)
+    _, q, _ = extract_q(case.delta_w)
     assert pred.labels == {c for c in range(12) if lp_feasible(q, c)}
     assert pred.rank_estimate == 3
 
@@ -355,7 +388,7 @@ def test_screen_equivalence_large_vocabulary():
     case = simulate_case(Scenario(d=64, classes=16000, mode="batch", n=10,
                                   latent="tanh", seed=77))
     cfg = RlgConfig(assume_s=case.true_s)
-    _, q = extract_q(case.delta_w, cfg)
+    _, q, _ = extract_q(case.delta_w, cfg)
     pred = rlg_attack(case.delta_w, cfg)
     assert pred.labels == _brute_force_labels(q)
     assert case.label_set <= pred.labels

@@ -39,10 +39,10 @@ def _fmt(x: float) -> float:
     return round(float(x), 4)
 
 
-def sign_structure(samples: int = 1000, d: int = 16, classes: int = 12,
-                   seed: int = 101) -> CriterionResult:
+def sign_structure() -> CriterionResult:
     """Every simulated logit-gradient row is negative exactly at its label."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    samples, d, classes = 1000, 16, 12
+    rng = np.random.Generator(np.random.Philox(key=101))
     layer = ToyDecoder(w=rng.normal(0.0, 0.1, (d, classes)),
                        b=rng.normal(0.0, 0.1, classes))
     per_kind = samples // len(LATENT_KINDS)
@@ -62,9 +62,10 @@ def sign_structure(samples: int = 1000, d: int = 16, classes: int = 12,
                            {"rows_checked": checked, "violations": 0 if ok else "yes"})
 
 
-def rank_inference(seed: int = 202) -> CriterionResult:
+def rank_inference() -> CriterionResult:
     """Single-step rank recovers S; an 8-step aggregate overruns the rank
     ceiling and leaves a positive mean length error."""
+    seed = 202
     matches = 0
     total = 0
     for s in range(1, 11):
@@ -110,11 +111,11 @@ def _mode_sweep_scenarios(seed: int):
     return scenarios
 
 
-def rlg_completeness(seed: int = 303) -> CriterionResult:
+def rlg_completeness() -> CriterionResult:
     """With the true S supplied, every true label is recovered on every case."""
     worst_recall = 1.0
     cases = 0
-    for sc in _mode_sweep_scenarios(seed):
+    for sc in _mode_sweep_scenarios(303):
         case = simulate_case(sc)
         pred = rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s))
         score = set_score(pred.labels, case.label_set)
@@ -125,9 +126,10 @@ def rlg_completeness(seed: int = 303) -> CriterionResult:
                            {"cases": cases, "min_recall": _fmt(worst_recall)})
 
 
-def table1_analog(seed: int = 404, sweeps: int = 100) -> CriterionResult:
+def table1_analog() -> CriterionResult:
     """Signed latents break the column-minimum baseline but not the LP attack;
     on non-negative latents the two agree."""
+    seed, sweeps = 404, 100
     em_rlg_tanh = []
     prec_min_tanh = []
     f1_rlg_relu = []
@@ -156,8 +158,9 @@ def table1_analog(seed: int = 404, sweeps: int = 100) -> CriterionResult:
                             "relu_f1_gap": _fmt(f1_gap)})
 
 
-def idlg_oracle(cases: int = 1000, seed: int = 505) -> CriterionResult:
+def idlg_oracle() -> CriterionResult:
     """Single-sample dot-product recovery succeeds on every case."""
+    cases, seed = 1000, 505
     hits = 0
     for i in range(cases):
         sc = Scenario(d=16, classes=10, mode="single",
@@ -169,9 +172,10 @@ def idlg_oracle(cases: int = 1000, seed: int = 505) -> CriterionResult:
                            {"recovered": f"{hits}/{cases}"})
 
 
-def table2_analog(seed: int = 606, sweeps: int = 50) -> CriterionResult:
+def table2_analog() -> CriterionResult:
     """Multi-sample single-step is exact; multi-step may only improve when the
     true count is supplied."""
+    seed, sweeps = 606, 50
     em_single_step = {}
     for n in (4, 8):
         ems = []
@@ -205,9 +209,10 @@ def table2_analog(seed: int = 606, sweeps: int = 50) -> CriterionResult:
                             "em_k8_inferred": _fmt(em_multi[8][1])})
 
 
-def table3_analog(seed: int = 707, sweeps: int = 100) -> CriterionResult:
+def table3_analog() -> CriterionResult:
     """Compression defenses degrade the attack: heavier dropping hurts more
     and sign quantization is near-total."""
+    seed, sweeps = 707, 100
     ems = {"none": [], "drop50": [], "drop90": [], "sign": []}
     for i in range(sweeps):
         case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
@@ -232,7 +237,8 @@ def table3_analog(seed: int = 707, sweeps: int = 100) -> CriterionResult:
                             "em_sign": _fmt(rates["sign"])})
 
 
-def _finite_difference(objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _finite_difference(objective, x: np.ndarray) -> np.ndarray:
+    h = 1e-6
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     out = grad.reshape(-1)
@@ -247,9 +253,9 @@ def _finite_difference(objective, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def gm_gradient_check(instances: int = 20, seed: int = 808,
-                      tol: float = 1e-5) -> CriterionResult:
+def gm_gradient_check() -> CriterionResult:
     """Analytic matching-objective gradient agrees with central differences."""
+    instances, seed = 20, 808
     worst = 0.0
     for i in range(instances):
         rng = np.random.Generator(np.random.Philox(key=seed + i))
@@ -271,15 +277,15 @@ def gm_gradient_check(instances: int = 20, seed: int = 808,
             rel = float(np.linalg.norm(numeric - analytic)
                         / max(np.linalg.norm(analytic), 1e-12))
             worst = max(worst, rel)
-    passed = worst <= tol
+    passed = worst <= 1e-5
     return CriterionResult("criterion-8 gm gradient check", passed,
                            {"instances": instances, "worst_rel_err": f"{worst:.2e}"})
 
 
-def table4_analog(instances: int = 20, seed: int = 909,
-                  restarts: int = 5) -> CriterionResult:
+def table4_analog() -> CriterionResult:
     """Restricting reconstruction to the recovered label set turns failure
     into near-perfect transcripts and shrinks the variable count."""
+    instances, seed = 20, 909
     em_with = []
     em_without = []
     n_vars_pair = None
@@ -298,8 +304,8 @@ def table4_analog(instances: int = 20, seed: int = 909,
         # near the optimum and keeps transcripts from stabilizing
         prob_bow = make_problem(decoder, context, labels, bow=bow, lam=0.1)
         prob_free = make_problem(decoder, context, labels, bow=None, lam=0.1)
-        res_bow = reconstruct(prob_bow, seed=seed + i, restarts=restarts, truth=labels)
-        res_free = reconstruct(prob_free, seed=seed + i, restarts=restarts, truth=labels)
+        res_bow = reconstruct(prob_bow, seed=seed + i, restarts=5, truth=labels)
+        res_free = reconstruct(prob_free, seed=seed + i, restarts=5, truth=labels)
         em_with.append(bool(res_bow.exact_match))
         em_without.append(bool(res_free.exact_match))
         n_vars_pair = (res_bow.n_vars, res_free.n_vars)
@@ -312,10 +318,10 @@ def table4_analog(instances: int = 20, seed: int = 909,
                             "vars_without_bow": n_vars_pair[1]})
 
 
-def structural_invariance(cases: int = 10, transforms: int = 20,
-                          seed: int = 1010) -> CriterionResult:
+def structural_invariance() -> CriterionResult:
     """The recovered set is invariant to positive scaling and to invertible
     maps of the latent side."""
+    cases, transforms, seed = 10, 20, 1010
     ok = True
     for i in range(cases):
         case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=5,
@@ -334,9 +340,10 @@ def structural_invariance(cases: int = 10, transforms: int = 20,
                            {"cases": cases, "transforms_per_case": transforms + 2})
 
 
-def svd_quality(samples: int = 100, seed: int = 1111) -> CriterionResult:
+def svd_quality() -> CriterionResult:
     """Reconstruction and orthonormality gates on random shapes up to 128x256."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    samples = 100
+    rng = np.random.Generator(np.random.Philox(key=1111))
     worst_recon = 0.0
     worst_orth = 0.0
     for i in range(samples):

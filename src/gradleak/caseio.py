@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 import struct
 import tempfile
 from contextlib import contextmanager
@@ -43,11 +44,20 @@ class CaseFile:
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write through a temp file and a rename.  The file gets the mode a plain
+    write would leave: an existing target's own, else 0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            os.fchmod(fh.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,13 +70,17 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 @contextmanager
-def _document(path: str):
-    """The JSON document at `path`, for the `with` body to read.  Text that
-    is not JSON, a missing key, a value of the wrong type and any ValueError
-    the body raises all come out as one ValueError naming the file."""
+def _document(path: str, kind: str, version: int):
+    """The JSON document at `path`, for the `with` body to read, once its
+    version is checked.  Text that is not JSON, another version, a missing
+    key, a value of the wrong type and any ValueError the body raises all
+    come out as one ValueError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        got = doc.get("version")
+        if got != version:
+            raise ValueError(f"unrecognized {kind} version {got!r}")
         yield doc
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
@@ -74,16 +88,6 @@ def _document(path: str):
         raise ValueError(f"{path}: wrongly typed value ({exc})") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "d": sc.d, "classes": sc.classes, "mode": sc.mode, "n": sc.n, "k": sc.k,
-        "lrs": list(sc.lrs) if sc.lrs is not None else None,
-        "latent": sc.latent,
-        "labels": list(sc.labels) if sc.labels is not None else None,
-        "seed": sc.seed,
-    }
 
 
 def _scenario_from_dict(obj: dict) -> Scenario:
@@ -103,7 +107,7 @@ def save_case(path: str, case: GradientCase,
         "version": CASE_VERSION,
         "d": case.delta_w.shape[0],
         "C": case.delta_w.shape[1],
-        "scenario": _scenario_to_dict(case.scenario),
+        "scenario": dataclasses.asdict(case.scenario),
         "delta_w": case.delta_w.tolist(),
         "ground_truth": {"labels": list(case.true_labels)},
     }
@@ -117,10 +121,7 @@ def save_case(path: str, case: GradientCase,
 
 
 def load_case(path: str) -> CaseFile:
-    with _document(path) as doc:
-        version = doc.get("version")
-        if version != CASE_VERSION:
-            raise ValueError(f"unrecognized case version {version!r}")
+    with _document(path, "case", CASE_VERSION) as doc:
         delta_w = as_matrix(doc["delta_w"], "delta_w")
         if delta_w.shape != (int(doc["d"]), int(doc["C"])):
             raise ValueError(f"delta_w shape {delta_w.shape} does not match "
@@ -172,9 +173,7 @@ def save_decoder(path: str, decoder: ToyDecoder) -> None:
 
 
 def load_decoder(path: str) -> ToyDecoder:
-    with _document(path) as doc:
-        if doc.get("version") != 1:
-            raise ValueError("unrecognized decoder version")
+    with _document(path, "decoder", 1) as doc:
         pos = doc.get("pos")
         return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
                           b=np.asarray(doc["b"], dtype=np.float64),
@@ -210,9 +209,7 @@ def save_report(path: str, per_case: list[dict], config: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with _document(path) as doc:
-        if doc.get("version") != 1:
-            raise ValueError("unrecognized report version")
+    with _document(path, "report", 1) as doc:
         if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
             raise TypeError("per_case must be a list and aggregate an object")
         # reads every score key of every scored entry, so a missing one is named

@@ -189,7 +189,8 @@ def _cmd_attack(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.cases))) as pool:
             entries = pool.map(_attack_one, args.cases, [args] * len(args.cases))
             per_case = _until_first_error(entries, args.keep_going)
             pool.shutdown(cancel_futures=True)  # cases past the first error need not run

@@ -138,28 +138,12 @@ class GMResult:
     runs: tuple[tuple[int, float, bool], ...]
 
 
-def smooth_label_loss(a, p, dec: ToyDecoder, bow: Optional[Sequence[int]] = None) -> float:
-    """Cross-entropy against smooth (non-one-hot) label rows.
-
-    With a restricted label set, only the kept columns carry coefficients;
-    the log-normalizer still runs over all classes.
-    """
+def decoder_gradient(a, p, dec: ToyDecoder) -> np.ndarray:
+    """Synthesized decoder weight gradient A^T (softmax(AW + b) - P) with P
+    over all C classes."""
     a = as_matrix(a, "context vectors")
     p = as_matrix(p, "smooth labels")
-    cols = _columns(bow, dec.classes)
-    if p.shape != (a.shape[0], cols.size):
-        raise ValueError(f"smooth labels must be {a.shape[0]} x {cols.size}")
-    z = dec.logits(a)
-    logp = z - z.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    return float(-(p * logp[:, cols]).sum())
-
-
-def decoder_gradient(a, p, dec: ToyDecoder, bow: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Synthesized decoder weight gradient A^T (softmax(AW + b) - P~)."""
-    a = as_matrix(a, "context vectors")
-    p = as_matrix(p, "smooth labels")
-    _, m = _forward(a, p, dec, _columns(bow, dec.classes))
+    _, m = _forward(a, p, dec, np.arange(dec.classes))
     return a.T @ m
 
 

@@ -163,8 +163,7 @@ def _invert(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return binv, singular
 
 
-def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
-                    max_pivots: int, stop_below: float):
+def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     """min ||t_i - sum_{j != own_i} lam_j g_j||_1 over lam >= 0 for every row
     t_i of `targets`, by phase-1 revised simplex run in lockstep over the
     targets.  g_j are the columns of `gens`; own_i is the one column target
@@ -184,16 +183,17 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
     Returns (distance, y, pivots, failed), one entry per target.  y are the
     optimal multipliers of the equality rows: |y|_inf <= 1, y . g_j <= 0
     for every j != own_i, and y . t_i equals the distance.  failed is
-    _CAP_HIT for an unbounded ratio test or a run past `max_pivots`,
-    _SINGULAR for a basis matrix found singular at a refactorisation, with
-    `pivots` the count at the failure.
+    _CAP_HIT for an unbounded ratio test or a run past DEFAULT_MAX_PIVOTS
+    (read at call time), _SINGULAR for a basis matrix found singular at a
+    refactorisation, with `pivots` the count at the failure.
 
     The objective is non-increasing and bounded by the optimum from below,
-    so once it falls under `stop_below` the caller's threshold decision is
+    so once it falls under half of LP_MARGIN the threshold decision is
     already settled; stopping there avoids grinding on degenerate vertices
     whose reduced costs are rounding noise (y is only meaningful when the
     run finished above the early-stop line).
     """
+    max_pivots, stop_below = DEFAULT_MAX_PIVOTS, 0.5 * LP_MARGIN
     s, n_cols = gens.shape
     n = own.size
     dist = np.zeros(n)
@@ -288,14 +288,12 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray,
 
 
 def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
-    """_cone_distances stopped at half the decision threshold and capped at
-    DEFAULT_MAX_PIVOTS, run over chunks of targets that bound the
+    """_cone_distances run over chunks of targets that bound the
     (targets, n_cols) pricing array and the (targets, s, s) basis stacks."""
     s, n_cols = gens.shape
     per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
     # no targets still makes one (empty) chunk, so the outputs keep their types
-    parts = [_cone_distances(gens, targets[lo:lo + per], own[lo:lo + per],
-                             DEFAULT_MAX_PIVOTS, 0.5 * LP_MARGIN)
+    parts = [_cone_distances(gens, targets[lo:lo + per], own[lo:lo + per])
              for lo in range(0, max(own.size, 1), per)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -147,3 +149,53 @@ def test_report_round_trip_and_aggregate_invariant(tmp_path):
 def test_aggregate_empty():
     agg = aggregate_report([])
     assert agg["cases"] == 0 and agg["precision_mean"] is None
+
+
+def test_every_loader_names_the_version_it_got(tmp_path):
+    case = simulate_case(Scenario(d=4, classes=3, mode="single", seed=1))
+    paths = {kind: str(tmp_path / f"{kind}.json") for kind in ("case", "decoder", "report")}
+    save_case(paths["case"], case)
+    save_decoder(paths["decoder"], initial_state(case.scenario))
+    save_report(paths["report"], [], config={})
+    for kind, load in (("case", load_case), ("decoder", load_decoder), ("report", load_report)):
+        doc = json.loads(open(paths[kind]).read())
+        doc["version"] = 2
+        open(paths[kind], "w").write(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load(paths[kind])
+        assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version 2"
+
+
+def test_case_scenario_block_is_pinned(tmp_path):
+    sc = Scenario(d=5, classes=6, mode="multistep", n=2, k=2, lrs=(0.1, 0.25),
+                  latent="tanh", labels=(4, 0, 2, 2), seed=17)
+    path = str(tmp_path / "multi.json")
+    save_case(path, simulate_case(sc))
+    with open(path) as fh:
+        block = json.load(fh)["scenario"]
+    assert list(block.items()) == [
+        ("d", 5), ("classes", 6), ("mode", "multistep"), ("n", 2), ("k", 2),
+        ("lrs", [0.1, 0.25]), ("latent", "tanh"), ("labels", [4, 0, 2, 2]), ("seed", 17)]
+    assert load_case(path).case.scenario == sc
+
+
+def test_written_files_get_the_mode_of_a_plain_write(tmp_path):
+    case = simulate_case(Scenario(d=4, classes=3, mode="single", seed=1))
+    old = os.umask(0o027)
+    try:
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        fresh = tmp_path / "case.json"
+        save_case(str(fresh), case)
+        grd = tmp_path / "m.grd"
+        write_grd(str(grd), case.delta_w)
+        assert stat.S_IMODE(plain.stat().st_mode) == 0o640
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+        assert stat.S_IMODE(grd.stat().st_mode) == 0o640
+        # an existing target keeps its own mode, as an in-place rewrite would
+        os.chmod(fresh, 0o604)
+        save_case(str(fresh), case, defense_applied=DefenseSpec(kind="sign"))
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o604
+        assert load_case(str(fresh)).defense_applied == DefenseSpec(kind="sign")
+    finally:
+        os.umask(old)

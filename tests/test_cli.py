@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import gradleak.cli
 import gradleak.rlg
 from gradleak import bench
 from gradleak.caseio import (load_case, load_report, read_grd, save_case, save_decoder,
@@ -184,6 +185,43 @@ def test_attack_jobs_parallel_matches_serial(tmp_path, capsys):
     assert main(["attack", "rlg", *cases, "--jobs", "0", "--report", r0]) == 2
     assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
     assert not os.path.exists(r0)
+
+
+def test_attack_jobs_forks_at_most_one_worker_per_case(tmp_path, monkeypatch):
+    # an in-process stand-in for the pool records the worker count it is given
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(gradleak.cli, "ProcessPoolExecutor", RecordingPool)
+    out_dir = str(tmp_path / "cases")
+    main(["simulate", "--mode", "batch", "--n", "2", "--d", "12",
+          "--classes", "9", "--seed", "6", "--count", "3", "--out", out_dir])
+    cases = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))]
+    serial = str(tmp_path / "serial.json")
+    assert main(["attack", "rlg", *cases, "--report", serial]) == 0
+    for jobs, want in (("64", 3), ("2", 2)):
+        report = str(tmp_path / f"jobs{jobs}.json")
+        assert main(["attack", "rlg", *cases, "--jobs", jobs, "--report", report]) == 0
+        assert sizes.pop() == want
+        a, b = load_report(serial)["per_case"], load_report(report)["per_case"]
+        for e1, e2 in zip(a, b):
+            e1.pop("wall_time_ms"), e2.pop("wall_time_ms")
+        assert a == b
 
 
 def test_attack_jobs_stops_at_first_error_like_serial(tmp_path):

@@ -465,8 +465,7 @@ def test_lockstep_matches_serial_solver_exactly(captures):
     stop_below = 0.5e-6
     for tag, _, _, q in captures:
         n = q.shape[1]
-        dist, y, pivots, failed = _cone_distances(q, q.T, np.arange(n), DEFAULT_MAX_PIVOTS,
-                                                  stop_below)
+        dist, y, pivots, failed = _cone_distances(q, q.T, np.arange(n))
         assert not failed.any(), tag
         for c in range(n):
             d, yc, p = _serial_cone_distance(np.delete(q, c, axis=1), q[:, c].copy(),

@@ -1,13 +1,23 @@
 """File formats and atomic writers.
 
-CaseFile (JSON, version 1): d, C, the scenario, the update matrix as nested
-row-major arrays, ground truth (label list plus the ordered sequence for
-sequence-mode cases), an optional defense record, and an optional id-to-token
-vocabulary.  Floats are serialized with Python's shortest round-trip repr,
-so a write/read cycle reproduces every matrix entry bit for bit.
+Every stored matrix has one payload: little-endian float64 values in
+row-major order, with the shape declared beside it.  A load checks the byte
+count against that shape and passes the matrix through `as_matrix`, so a
+write/read cycle reproduces every entry bit for bit and a file holding NaN,
+Inf or an empty dimension is refused with its path.
 
-The .grd sidecar is a raw binary matrix: magic "GRD1", little-endian uint32
-d and C, then d*C little-endian float64 values in row-major order.
+CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
+base64 text of its payload, ground truth (label list plus the ordered
+sequence for sequence-mode cases), an optional defense record, and an
+optional id-to-token vocabulary.  Version 1, which stored the matrix as
+nested decimal lists, is still read; only version 2 is written.
+
+Decoder file (JSON, version 2): d_a, classes, and `w` (d_a x classes), `b`
+(classes) and, when present, `pos` (max_len x classes) as base64 payloads.
+Version 1 (nested lists) is still read.
+
+The .grd sidecar is the raw payload behind a header: magic "GRD1" and
+little-endian uint32 d and C.
 
 ReportFile (JSON): one entry per attacked case plus aggregate means that are
 recomputable from the per-case entries.
@@ -15,8 +25,11 @@ recomputable from the per-case entries.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import json
+import math
 import os
 import stat
 import struct
@@ -31,7 +44,8 @@ from .defense import DefenseSpec
 from .linalg import as_matrix
 from .simulator import GradientCase, Scenario, ToyDecoder
 
-CASE_VERSION = 1
+CASE_VERSION = 2
+DECODER_VERSION = 2
 GRD_MAGIC = b"GRD1"
 
 
@@ -70,16 +84,17 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 @contextmanager
-def _document(path: str, kind: str, version: int):
+def _document(path: str, kind: str, versions: tuple[int, ...]):
     """The JSON document at `path`, for the `with` body to read, once its
-    version is checked.  Text that is not JSON, another version, a missing
-    key, a value of the wrong type and any ValueError the body raises all
-    come out as one ValueError naming the file."""
+    version is checked to be one of `versions`.  Text that is not JSON,
+    another version, a missing key, a value of the wrong type and any
+    ValueError the body raises all come out as one ValueError naming the
+    file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         got = doc.get("version")
-        if got != version:
+        if got not in versions:
             raise ValueError(f"unrecognized {kind} version {got!r}")
         yield doc
     except KeyError as exc:
@@ -88,6 +103,34 @@ def _document(path: str, kind: str, version: int):
         raise ValueError(f"{path}: wrongly typed value ({exc})") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _payload(a: np.ndarray) -> bytes:
+    """The stored form of a matrix: little-endian float64, row-major."""
+    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+def _from_payload(raw, shape: tuple[int, int], name: str) -> np.ndarray:
+    """The matrix of `shape` stored in `raw`, as a writable native float64
+    copy checked by `as_matrix`."""
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"{name} payload holds {len(raw)} bytes, shape {shape} needs {need}")
+    # frombuffer alone is a read-only view of `raw`
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return as_matrix(flat.reshape(shape), name)
+
+
+def _to_text(a: np.ndarray) -> str:
+    return base64.b64encode(_payload(a)).decode("ascii")
+
+
+def _from_text(text: str, shape: tuple[int, int], name: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name} is not base64 text ({exc})") from exc
+    return _from_payload(raw, shape, name)
 
 
 def _scenario_from_dict(obj: dict) -> Scenario:
@@ -108,7 +151,7 @@ def save_case(path: str, case: GradientCase,
         "d": case.delta_w.shape[0],
         "C": case.delta_w.shape[1],
         "scenario": dataclasses.asdict(case.scenario),
-        "delta_w": case.delta_w.tolist(),
+        "delta_w": _to_text(case.delta_w),
         "ground_truth": {"labels": list(case.true_labels)},
     }
     if case.scenario.mode == "sequence":
@@ -121,11 +164,15 @@ def save_case(path: str, case: GradientCase,
 
 
 def load_case(path: str) -> CaseFile:
-    with _document(path, "case", CASE_VERSION) as doc:
-        delta_w = as_matrix(doc["delta_w"], "delta_w")
-        if delta_w.shape != (int(doc["d"]), int(doc["C"])):
+    with _document(path, "case", (1, CASE_VERSION)) as doc:
+        shape = (int(doc["d"]), int(doc["C"]))
+        if doc["version"] == 1:
+            delta_w = as_matrix(doc["delta_w"], "delta_w")
+        else:
+            delta_w = _from_text(doc["delta_w"], shape, "delta_w")
+        if delta_w.shape != shape:
             raise ValueError(f"delta_w shape {delta_w.shape} does not match "
-                             f"declared ({doc['d']}, {doc['C']})")
+                             f"declared {shape}")
         scenario = _scenario_from_dict(doc["scenario"])
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
         vocab = None
@@ -141,43 +188,48 @@ def load_case(path: str) -> CaseFile:
 
 def write_grd(path: str, delta_w) -> None:
     a = as_matrix(delta_w, "delta_w")
-    d, c = a.shape
-    payload = GRD_MAGIC + struct.pack("<II", d, c) + a.astype("<f8").tobytes(order="C")
-    _atomic_write_bytes(path, payload)
+    _atomic_write_bytes(path, GRD_MAGIC + struct.pack("<II", *a.shape) + _payload(a))
 
 
 def read_grd(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != GRD_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a .grd file")
-    d, c = struct.unpack("<II", blob[4:12])
-    expected = 12 + 8 * d * c
-    if len(blob) != expected:
-        raise ValueError(f"{path}: truncated .grd payload ({len(blob)} of {expected} bytes)")
-    flat = np.frombuffer(blob, dtype="<f8", offset=12, count=d * c)
-    return np.ascontiguousarray(flat.astype(np.float64).reshape(d, c))
+    try:
+        if blob[:4] != GRD_MAGIC:
+            raise ValueError("bad magic, not a .grd file")
+        if len(blob) < 12:
+            raise ValueError(f"truncated .grd header ({len(blob)} of 12 bytes)")
+        shape = struct.unpack_from("<II", blob, 4)
+        return _from_payload(memoryview(blob)[12:], shape, "delta_w")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_decoder(path: str, decoder: ToyDecoder) -> None:
     doc = {
-        "version": 1,
+        "version": DECODER_VERSION,
         "d_a": decoder.d_a,
         "classes": decoder.classes,
-        "w": decoder.w.tolist(),
-        "b": decoder.b.tolist(),
+        "w": _to_text(decoder.w),
+        "b": _to_text(decoder.b),
     }
     if decoder.pos is not None:
-        doc["pos"] = decoder.pos.tolist()
+        doc["max_len"] = decoder.pos.shape[0]
+        doc["pos"] = _to_text(decoder.pos)
     write_json_atomic(path, doc)
 
 
 def load_decoder(path: str) -> ToyDecoder:
-    with _document(path, "decoder", 1) as doc:
-        pos = doc.get("pos")
-        return ToyDecoder(w=np.asarray(doc["w"], dtype=np.float64),
-                          b=np.asarray(doc["b"], dtype=np.float64),
-                          pos=np.asarray(pos, dtype=np.float64) if pos is not None else None)
+    with _document(path, "decoder", (1, DECODER_VERSION)) as doc:
+        if doc["version"] == 1:
+            # nested lists; ToyDecoder converts and checks them
+            return ToyDecoder(w=doc["w"], b=doc["b"], pos=doc.get("pos"))
+        c = int(doc["classes"])
+        pos = None
+        if doc.get("pos") is not None:
+            pos = _from_text(doc["pos"], (int(doc["max_len"]), c), "decoder positional offsets")
+        return ToyDecoder(w=_from_text(doc["w"], (int(doc["d_a"]), c), "decoder weights"),
+                          b=_from_text(doc["b"], (1, c), "decoder bias")[0], pos=pos)
 
 
 def aggregate_report(per_case: list[dict]) -> dict:
@@ -209,7 +261,7 @@ def save_report(path: str, per_case: list[dict], config: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with _document(path, "report", 1) as doc:
+    with _document(path, "report", (1,)) as doc:
         if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
             raise TypeError("per_case must be a list and aggregate an object")
         # reads every score key of every scored entry, so a missing one is named

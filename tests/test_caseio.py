@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import os
 import stat
@@ -10,7 +12,7 @@ from gradleak.caseio import (aggregate_report, load_case, load_decoder, load_rep
                              read_grd, save_case, save_decoder, save_report, write_grd)
 from gradleak.defense import DefenseSpec
 from gradleak.gm import ToyDecoder
-from gradleak.simulator import Scenario, initial_state, simulate_case
+from gradleak.simulator import GradientCase, Scenario, initial_state, simulate_case
 
 
 def test_case_round_trip_bit_exact(tmp_path):
@@ -31,7 +33,7 @@ def test_case_sequence_carries_ordered_ground_truth(tmp_path):
     save_case(path, case)
     doc = json.loads(open(path).read())
     assert doc["ground_truth"]["sequence"] == list(case.true_labels)
-    assert doc["version"] == 1
+    assert doc["version"] == 2
 
 
 def test_case_defense_and_vocab_round_trip(tmp_path):
@@ -54,7 +56,7 @@ def test_case_rejects_bad_version_and_shape(tmp_path):
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(ValueError):
         load_case(path)
-    doc["version"] = 1
+    doc["version"] = 2
     doc["d"] = 5
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(ValueError):
@@ -110,11 +112,126 @@ def test_decoder_positional_offsets_round_trip(tmp_path):
     assert back.w.tobytes() == dec.w.tobytes()
     assert back.b.tobytes() == dec.b.tobytes()
 
-    # a version-1 file written without offsets still loads, with none
+    # a file written without offsets still loads, with none
     doc = json.loads(open(path).read())
     del doc["pos"]
     open(path, "w").write(json.dumps(doc))
     assert load_decoder(path).pos is None
+
+
+# -0.0, the smallest subnormal, a subnormal near the normal range, the
+# smallest normal and the extremes +-1e308: all must come back bit for bit
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                        2.2250738585072014e-308, 1e308, -1e308, 1.0 / 3.0])
+
+
+def edge_matrix(rows, cols, seed):
+    m = np.random.default_rng(seed).normal(size=(rows, cols))
+    m.flat[:EDGE_VALUES.size] = EDGE_VALUES
+    return m
+
+
+def edge_case():
+    sc = Scenario(d=4, classes=5, mode="batch", n=2, seed=3)
+    return GradientCase(scenario=sc, delta_w=edge_matrix(4, 5, 0), true_labels=(1, 3))
+
+
+def test_version_2_case_round_trip_is_bit_exact_on_edge_values(tmp_path):
+    case = edge_case()
+    path = str(tmp_path / "edge.json")
+    save_case(path, case)
+    doc = json.loads(open(path).read())
+    assert doc["version"] == 2
+    # the same payload as the .grd sidecar, base64 encoded
+    write_grd(str(tmp_path / "edge.grd"), case.delta_w)
+    assert base64.b64decode(doc["delta_w"]) == open(tmp_path / "edge.grd", "rb").read()[12:]
+    loaded = load_case(path).case.delta_w
+    assert loaded.tobytes() == case.delta_w.tobytes()
+    assert loaded.dtype == np.float64 and loaded.dtype.isnative
+    assert loaded.flags.writeable and loaded.flags.c_contiguous
+    assert read_grd(str(tmp_path / "edge.grd")).flags.writeable
+
+
+@pytest.mark.parametrize("with_pos", [True, False])
+def test_version_2_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with_pos):
+    dec = ToyDecoder(w=edge_matrix(3, 4, 1), b=edge_matrix(1, 4, 2)[0],
+                     pos=edge_matrix(2, 4, 3) if with_pos else None)
+    path = str(tmp_path / "dec.json")
+    save_decoder(path, dec)
+    assert json.loads(open(path).read())["version"] == 2
+    back = load_decoder(path)
+    assert back.w.tobytes() == dec.w.tobytes()
+    assert back.b.tobytes() == dec.b.tobytes()
+    if with_pos:
+        assert back.pos.tobytes() == dec.pos.tobytes()
+    else:
+        assert back.pos is None
+
+
+def test_version_1_files_still_load_bit_exact(tmp_path):
+    case = edge_case()
+    case_path = str(tmp_path / "v1-case.json")
+    open(case_path, "w").write(json.dumps({
+        "version": 1, "d": 4, "C": 5,
+        "scenario": dataclasses.asdict(case.scenario),
+        "delta_w": case.delta_w.tolist(),
+        "ground_truth": {"labels": [1, 3]},
+        "defense_applied": {"kind": "drop", "rate": 0.5},
+    }))
+    loaded = load_case(case_path)
+    assert loaded.case.delta_w.tobytes() == case.delta_w.tobytes()
+    assert loaded.case.scenario == case.scenario
+    assert loaded.case.true_labels == (1, 3)
+    assert loaded.defense_applied == DefenseSpec(kind="drop", rate=0.5)
+
+    w, b, pos = edge_matrix(3, 4, 1), edge_matrix(1, 4, 2)[0], edge_matrix(2, 4, 3)
+    dec_path = str(tmp_path / "v1-dec.json")
+    for extra in ({"pos": pos.tolist()}, {}):
+        open(dec_path, "w").write(json.dumps({
+            "version": 1, "d_a": 3, "classes": 4, "w": w.tolist(), "b": b.tolist(), **extra}))
+        back = load_decoder(dec_path)
+        assert back.w.tobytes() == w.tobytes()
+        assert back.b.tobytes() == b.tobytes()
+        assert (back.pos is None) if not extra else back.pos.tobytes() == pos.tobytes()
+
+
+def test_bad_version_2_payloads_name_the_file(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    save_case(case_path, edge_case())
+    dec_path = str(tmp_path / "dec.json")
+    save_decoder(dec_path, ToyDecoder(w=np.ones((3, 4)), b=np.zeros(4), pos=np.ones((2, 4))))
+    nan = base64.b64encode(np.full(20, np.nan, dtype="<f8").tobytes()).decode()
+    short = base64.b64encode(np.ones(19, dtype="<f8").tobytes()).decode()
+    for path, key, text, cause in (
+            (case_path, "delta_w", short, "delta_w payload holds 152 bytes, shape (4, 5) needs 160"),
+            (case_path, "delta_w", "not base64!", "delta_w is not base64 text"),
+            (case_path, "delta_w", nan, "delta_w contains NaN or Inf entries"),
+            (dec_path, "w", short, "decoder weights payload holds 152 bytes"),
+            (dec_path, "b", "@@@@", "decoder bias is not base64 text"),
+            (dec_path, "pos", nan[:24],
+             "decoder positional offsets payload holds 18 bytes, shape (2, 4) needs 64")):
+        doc = json.loads(open(path).read())
+        doc[key] = text
+        bad = str(tmp_path / f"bad-{key}.json")
+        open(bad, "w").write(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            (load_case if path == case_path else load_decoder)(bad)
+        assert str(err.value).startswith(f"{bad}: {cause}"), str(err.value)
+
+
+def test_grd_errors_name_the_file_and_cause(tmp_path):
+    path = str(tmp_path / "bad.grd")
+    for blob, cause in (
+            (b"GRD1\x02\x00", "truncated .grd header (6 of 12 bytes)"),
+            (b"GRD1" + struct.pack("<II", 0, 5), "delta_w must have positive dimensions"),
+            (b"GRD1" + struct.pack("<II", 1, 2) + struct.pack("<2d", 1.0, float("nan")),
+             "delta_w contains NaN or Inf entries"),
+            (b"GRD1" + struct.pack("<II", 1, 2) + struct.pack("<d", 1.0),
+             "delta_w payload holds 8 bytes, shape (1, 2) needs 16")):
+        open(path, "wb").write(blob)
+        with pytest.raises(ValueError) as err:
+            read_grd(path)
+        assert str(err.value).startswith(f"{path}: {cause}"), str(err.value)
 
 
 def test_report_round_trip_and_aggregate_invariant(tmp_path):
@@ -159,11 +276,11 @@ def test_every_loader_names_the_version_it_got(tmp_path):
     save_report(paths["report"], [], config={})
     for kind, load in (("case", load_case), ("decoder", load_decoder), ("report", load_report)):
         doc = json.loads(open(paths[kind]).read())
-        doc["version"] = 2
+        doc["version"] = 3
         open(paths[kind], "w").write(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             load(paths[kind])
-        assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version 2"
+        assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version 3"
 
 
 def test_case_scenario_block_is_pinned(tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -7,8 +8,9 @@ import pytest
 import gradleak.cli
 import gradleak.rlg
 from gradleak import bench
-from gradleak.caseio import (load_case, load_report, read_grd, save_case, save_decoder,
-                             write_grd)
+from gradleak.caseio import (load_case, load_decoder, load_report, read_grd, save_case,
+                             save_decoder, write_grd)
+from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.cli import main
 from gradleak.gm import ToyDecoder, decoder_gradient
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
@@ -261,6 +263,66 @@ def test_defend_rewrites_case(tmp_path):
     signed = load_case(case_path)
     assert signed.defense_applied.kind == "sign"
     assert set(np.unique(signed.case.delta_w)) <= {-1.0, 0.0, 1.0}
+
+
+def version_1_copy(path, out, keys):
+    """The version-1 file of a version-2 case or decoder: each matrix in
+    `keys` as nested lists, loaded through the version-2 reader."""
+    doc = json.loads(open(path).read())
+    loaded = load_case(path).case if "delta_w" in keys else load_decoder(path)
+    for key in keys:
+        if key in doc:
+            doc[key] = getattr(loaded, key).tolist()
+    doc.pop("max_len", None)
+    doc["version"] = 1
+    open(out, "w").write(json.dumps(doc))
+    return out
+
+
+def test_defend_upgrades_a_version_1_case(tmp_path):
+    v2 = str(tmp_path / "case.json")
+    main(["simulate", "--mode", "batch", "--n", "3", "--d", "8",
+          "--classes", "6", "--seed", "9", "--out", v2])
+    v1 = version_1_copy(v2, str(tmp_path / "case-v1.json"), ["delta_w"])
+    original = load_case(v1).case
+    out = str(tmp_path / "defended.json")
+    for kind, spec in (("sign", DefenseSpec("sign")), ("drop", DefenseSpec("drop", 0.5))):
+        extra = ["--rate", "0.5"] if kind == "drop" else []
+        assert main(["defend", kind, v1, *extra, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["version"] == 2
+        assert (base64.b64decode(doc["delta_w"])
+                == apply_defense(original.delta_w, spec).astype("<f8").tobytes())
+        assert load_case(out).defense_applied == spec
+
+
+def test_attack_and_gm_read_version_1_inputs_like_version_2(tmp_path):
+    case_v2 = str(tmp_path / "seq.json")
+    dec_v2 = str(tmp_path / "dec.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6", "--classes", "5",
+          "--seed", "21", "--out", case_v2, "--decoder-out", dec_v2])
+    case_v1 = version_1_copy(case_v2, str(tmp_path / "seq-v1.json"), ["delta_w"])
+    dec_v1 = version_1_copy(dec_v2, str(tmp_path / "dec-v1.json"), ["w", "b", "pos"])
+    report = str(tmp_path / "rep.json")
+
+    def attack(attack, case):
+        assert main(["attack", attack, case, "--report", report]) == 0
+        doc = load_report(report)
+        for e in doc["per_case"]:
+            e.pop("wall_time_ms"), e.pop("case_id")
+        return doc["per_case"], doc["aggregate"]
+
+    def gm(case, dec):
+        assert main(["gm", case, "--decoder", dec, "--bow", "--restarts", "2",
+                     "--seed", "0", "--report", report]) == 0
+        doc = json.loads(open(report).read())
+        for key in ("case", "decoder", "argv"):
+            doc["config"].pop(key)
+        return doc
+
+    for name in ("rlg", "mincol"):
+        assert attack(name, case_v1) == attack(name, case_v2)
+    assert gm(case_v1, dec_v1) == gm(case_v2, dec_v2)
 
 
 def test_grd_sidecar_and_override(tmp_path):

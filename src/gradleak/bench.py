@@ -357,7 +357,7 @@ def svd_quality() -> CriterionResult:
         res = svd(a)
         denom = max(float(np.linalg.norm(a)), 1e-300)
         recon = float(np.linalg.norm(res.reconstruct() - a)) / denom
-        r = res.singular.shape[0]
+        r = res.rank
         orth_l = float(np.abs(res.left.T @ res.left - np.eye(r)).max())
         orth_r = float(np.abs(res.right @ res.right.T - np.eye(r)).max())
         worst_recon = max(worst_recon, recon)

@@ -151,7 +151,7 @@ def save_case(path: str, case: GradientCase,
         "d": case.delta_w.shape[0],
         "C": case.delta_w.shape[1],
         "scenario": dataclasses.asdict(case.scenario),
-        "delta_w": _to_text(case.delta_w),
+        "delta_w": _to_text(as_matrix(case.delta_w, "delta_w")),
         "ground_truth": {"labels": list(case.true_labels)},
     }
     if case.scenario.mode == "sequence":

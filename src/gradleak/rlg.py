@@ -91,17 +91,18 @@ class RlgConfig:
     """How the attack reads S off the update; the label decision itself has
     no knobs (LP_MARGIN in the unit box, see the module docstring).
 
-    rank_tol_rel: relative singular-value cutoff for rank inference (None
-    uses `default_rank_tol`, max(d, C) * eps).  assume_s sets S in place of
-    the rank; Q still stops at the rank the SVD computed (see `extract_q`).
+    rank_tol_rel: relative singular-value cutoff for rank inference, in
+    (0, 1) (None uses `default_rank_tol`, max(d, C) * eps).  assume_s sets
+    S in place of the rank; Q still stops at the rank the SVD computed (see
+    `extract_q`).
     """
 
     rank_tol_rel: Optional[float] = None
     assume_s: Optional[int] = None
 
     def __post_init__(self):
-        if self.rank_tol_rel is not None and self.rank_tol_rel <= 0.0:
-            raise ValueError("rank_tol_rel must be positive")
+        if self.rank_tol_rel is not None and not 0.0 < self.rank_tol_rel < 1.0:
+            raise ValueError(f"rank_tol_rel must lie in (0, 1), got {self.rank_tol_rel}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,8 @@ def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray, i
 
     rank is the numeric rank (`svd`'s own count, or the count above
     cfg.rank_tol_rel), and S is cfg.assume_s or else the rank.  Q holds the
-    top right-singular rows, at most the rank `svd` computed: an assumed S
-    above it does not pull in the SVD's orthonormal completion, so Q never
-    depends on how the null space was filled.
+    top S right-singular rows, at most the `SvdResult.rank` rows the SVD
+    computed: an assumed S above that rank keeps S but gets no more rows.
 
     Raises DegenerateUpdateError when ||delta_w||_F is below an absolute
     floor, and RankAssumptionError when the inferred S reaches min(d, C).
@@ -145,7 +145,7 @@ def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray, i
         if s >= min(d, c):
             raise RankAssumptionError(
                 f"assumption violated: inferred S={s} not below min(d, C)={min(d, c)}")
-    return s, np.ascontiguousarray(res.right[:min(s, res.rank)]), rank
+    return s, res.right[:s], rank
 
 
 def _invert(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

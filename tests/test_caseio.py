@@ -234,6 +234,17 @@ def test_grd_errors_name_the_file_and_cause(tmp_path):
         assert str(err.value).startswith(f"{path}: {cause}"), str(err.value)
 
 
+def test_save_case_refuses_a_non_finite_update(tmp_path):
+    # a case that would not load back is not written at all
+    path = tmp_path / "bad.json"
+    for bad in (float("nan"), float("inf")):
+        dw = edge_matrix(4, 5, 0)
+        dw[2, 1] = bad
+        with pytest.raises(ValueError, match="delta_w contains NaN or Inf entries"):
+            save_case(str(path), dataclasses.replace(edge_case(), delta_w=dw))
+        assert os.listdir(tmp_path) == []
+
+
 def test_report_round_trip_and_aggregate_invariant(tmp_path):
     per_case = [
         {"case_id": "a", "attack": "rlg", "inferred_S": 2,

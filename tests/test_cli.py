@@ -552,6 +552,11 @@ def test_attack_rank_tol_sets_rank_and_s(tmp_path):
         assert main(["attack", "rlg", case_path, *extra, "--report", report]) == 0
         entry = load_report(report)["per_case"][0]
         assert entry["rank_estimate"] == entry["inferred_S"] == numeric_rank(sv, tol)
+    # a cut outside (0, 1) fails the case and names the option's field
+    for tol in ("2", "nan", "inf"):
+        assert main(["attack", "rlg", case_path, "--rank-tol", tol, "--report", report]) == 1
+        error = load_report(report)["per_case"][0]["error"]
+        assert error.startswith("ValueError: rank_tol_rel must lie in (0, 1)"), error
 
 
 def test_attack_assume_s_sets_s_and_labels(tmp_path):

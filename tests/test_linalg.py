@@ -82,32 +82,36 @@ def test_svd_low_rank_product_and_zero_matrix():
     a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 30))
     res = svd(a)
     assert res.rank == numeric_rank(res.singular, default_rank_tol(40, 30)) == 3
-    assert np.abs(res.right @ res.right.T - np.eye(30)).max() <= 1e-10
+    assert res.singular.shape == (30,)
+    assert np.abs(res.right @ res.right.T - np.eye(3)).max() <= 1e-10
 
     res = svd(np.zeros((4, 6)))
     assert res.singular.tolist() == [0.0] * 4 and res.rank == 0
-    assert np.abs(res.right @ res.right.T - np.eye(4)).max() == 0.0
+    assert res.left.shape == (4, 0) and res.right.shape == (0, 6)
+    assert np.array_equal(res.reconstruct(), np.zeros((4, 6)))
 
 
 @pytest.mark.parametrize("shape", [(1200, 300), (300, 1200)])
-def test_svd_rank_deficient_completion(shape):
-    # rank 8 leaves almost every column numerically null, so nearly all of
-    # both factors comes from the orthonormal completion
+def test_svd_rank_deficient_thin_factors(shape):
+    # rank 8 leaves almost every column numerically null; the factors hold
+    # only the 8 computed directions, as fresh C-ordered arrays
     rng = np.random.default_rng(21)
     a = rng.normal(size=(shape[0], 8)) @ rng.normal(size=(8, shape[1]))
     res = svd(a)
-    r = min(shape)
     assert res.rank == numeric_rank(res.singular, default_rank_tol(*shape)) == 8
-    assert res.left.shape == (shape[0], r) and res.right.shape == (r, shape[1])
-    assert np.abs(res.left.T @ res.left - np.eye(r)).max() <= 1e-10
-    assert np.abs(res.right @ res.right.T - np.eye(r)).max() <= 1e-10
+    assert res.singular.shape == (min(shape),)
+    assert res.left.shape == (shape[0], 8) and res.right.shape == (8, shape[1])
+    assert np.abs(res.left.T @ res.left - np.eye(8)).max() <= 1e-10
+    assert np.abs(res.right @ res.right.T - np.eye(8)).max() <= 1e-10
     assert np.linalg.norm(res.reconstruct() - a) / np.linalg.norm(a) <= 1e-8
     again = svd(a)
     assert np.array_equal(res.left, again.left)
     assert np.array_equal(res.singular, again.singular)
     assert np.array_equal(res.right, again.right)
     first = (res.right != 0.0).argmax(axis=1)
-    assert (res.right[np.arange(r), first] > 0.0).all()
+    assert (res.right[np.arange(8), first] > 0.0).all()
+    for factor in (res.left, res.right):
+        assert factor.flags.c_contiguous and factor.base is None
 
 
 def test_svd_sweep_cap_raises_with_count(monkeypatch):

@@ -31,10 +31,9 @@ def captures():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RlgConfig(rank_tol_rel=-1e-3)
-    with pytest.raises(ValueError):
-        RlgConfig(rank_tol_rel=0.0)
+    for bad in (-1e-3, 0.0, 1.0, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rank_tol_rel"):
+            RlgConfig(rank_tol_rel=bad)
 
 
 def test_extract_q_single_sample():
@@ -76,7 +75,7 @@ def test_extract_q_assume_s_bounds():
 
 def test_extract_q_assume_s_above_rank_stops_at_the_rank():
     # an assumed S above the numeric rank is kept as S, but Q stops at the
-    # rows the SVD computed: it is the inferred-S Q, never the completion
+    # rows the SVD computed: it is the inferred-S Q
     case = simulate_case(Scenario(d=16, classes=20, mode="batch", n=3,
                                   latent="gauss", seed=4))
     s, q, rank = extract_q(case.delta_w, RlgConfig(assume_s=7))
@@ -89,34 +88,15 @@ def test_extract_q_assume_s_above_rank_stops_at_the_rank():
     s, q, rank = extract_q(case.delta_w, RlgConfig(rank_tol_rel=1e-300, assume_s=7))
     assert s == 7 and rank > 3
     assert np.array_equal(q, q_live)
-
-
-def test_labels_do_not_depend_on_the_svd_completion(monkeypatch):
-    # relu sign copies run with the true S sit above the numeric rank; any
-    # orthonormal completion of the computed directions is as valid as
-    # linalg's own, and the labels must not change with it
-    fill = linalg._orthonormal_fill
-
-    def rotated_fill(u, k):
-        fill(u, k)
-        n = u.shape[1] - k
-        rot, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(n, n)))
-        u[:, k:] = u[:, k:] @ rot
-
+    # relu sign copies run with the true S = 10 sit above the numeric rank
     for seed in (8201, 8204):
         case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
                                       latent="relu", seed=seed))
         dw = apply_defense(case.delta_w, DefenseSpec("sign"))
-        cfg = RlgConfig(assume_s=case.true_s)
-        base = rlg_attack(dw, cfg)
-        assert base.rank_estimate < base.inferred_s == 10
-        rank, plain = base.rank_estimate, linalg.svd(dw)
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_orthonormal_fill", rotated_fill)
-            other = linalg.svd(dw)
-            assert np.array_equal(other.right[:rank], plain.right[:rank])
-            assert not np.allclose(other.right[rank:], plain.right[rank:])
-            assert rlg_attack(dw, cfg).labels == base.labels, seed
+        s, q, rank = extract_q(dw, RlgConfig(assume_s=case.true_s))
+        res = linalg.svd(dw)
+        assert rank == res.rank < s == 10, seed
+        assert np.array_equal(q, res.right[:rank]), seed
 
 
 def test_lp_feasible_analytic_examples():

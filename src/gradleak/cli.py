@@ -188,6 +188,7 @@ def _cmd_attack(args) -> int:
         raise ValueError("--delta-grd requires exactly one case")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    RlgConfig(rank_tol_rel=args.rank_tol)  # rejects a bad --rank-tol before any case is read
     if args.jobs > 1:
         # the fork start method launches every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.cases))) as pool:

@@ -201,9 +201,11 @@ def numeric_rank(singular, tol_rel: float) -> int:
     """Count singular values above tol_rel * singular[0].
 
     `singular` must be non-negative and non-increasing, and `tol_rel`
-    positive; the usual cutoff for a d x C matrix is default_rank_tol(d, C).
-    A zero leading singular value means rank 0.
+    positive and finite; the usual cutoff for a d x C matrix is
+    default_rank_tol(d, C).  A zero leading singular value means rank 0.
     """
+    if not (np.isfinite(tol_rel) and tol_rel > 0.0):
+        raise ValueError(f"tol_rel must be positive and finite, got {tol_rel}")
     s = np.asarray(singular, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("singular values must be a 1-D vector")
@@ -213,8 +215,6 @@ def numeric_rank(singular, tol_rel: float) -> int:
         raise ValueError("singular values must be non-negative")
     if (s[1:] > s[:-1]).any():
         raise ValueError("singular values must be non-increasing")
-    if tol_rel <= 0.0:
-        raise ValueError("tol_rel must be positive")
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol_rel * s[0]))

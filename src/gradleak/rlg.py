@@ -20,16 +20,18 @@ exactly when
     min{ ||q_c - sum_j lam_j q_j||_1 : lam >= 0 } >= LP_MARGIN,
 
 and that inner minimization is a phase-1 simplex problem (the L1 slack pair
-doubles as the artificial basis) solved here with Bland's rule, which cannot
-cycle in exact arithmetic.  The optimal simplex multipliers directly yield a
-primal separator witness, exposed via :func:`lp_separator`.
+doubles as the artificial basis).  It is solved here by entering the
+variable with the largest reduced cost over the unit-norm generators
+(Dantzig 1963); a target whose objective stalls falls back to Bland's rule
+(Bland 1977), which cannot cycle in exact arithmetic, until it falls again.
+The optimal simplex multipliers directly yield a primal separator witness,
+exposed via :func:`lp_separator`.
 
 Every label decision is the LP's answer or a named error: an LP that runs
 past DEFAULT_MAX_PIVOTS raises LpPivotLimitError, and one whose basis turns
 singular raises LpSingularBasisError; both name that label.  Neither is
 read as "not a label", since the label whose LP failed may be a true one
-(floating-point ties can make Bland's rule cycle on a true label's LP until
-the cap).
+(in floating point even Bland's rule can cycle on ties until the cap).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ DEFAULT_MAX_PIVOTS = 5000
 _RCOST_TOL = 1e-12
 _PIVOT_TOL = 1e-12
 _REFACTOR_EVERY = 64
+_STALL = 50  # rounds without a fall in the objective before Bland's rule
 _BATCH_ENTRIES = 1 << 18  # pricing-array entries per chunk of labels (2 MiB)
 _SCREEN_ANCHORS = 500  # largest-norm columns the screen's LPs may use
 _CAP_HIT = 1
@@ -172,13 +175,19 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     Each target's variables are the columns of gens (cost 0; its own column
     is never priced) followed by the positive and negative L1 slack pair
     (cost 1, ids n_cols + i and n_cols + s + i), which doubles as the
-    starting artificial basis.  Bland's rule enters the lowest improvable id
-    and leaves the lowest basis id among ratio ties, so in exact arithmetic
-    no target cycles.
+    starting artificial basis.  The generators are divided by their norms
+    once (a zero column keeps scale 1); scaling a generator by a positive
+    factor changes neither the cone nor the distance, so this is the same
+    LP.  The entering variable has the largest score: a generator scores its
+    reduced cost y . g_j over the unit-norm generators, and slack k scores
+    |y_k| - 1 (Dantzig's rule).  A target whose objective has not fallen for
+    _STALL rounds enters the lowest improvable id instead (Bland's rule)
+    until it falls again; the leaving variable is always the lowest basis id
+    among ratio ties.
     Only each target's s x s basis matrix and its product-form inverse are
-    kept; pricing runs against the read-only gens, so nothing is copied per
-    target and nothing accumulates roundoff.  Every live target takes one
-    pivot per round, so all of them share one pivot count.
+    kept; pricing runs against the read-only generators, so nothing is
+    copied per target and nothing accumulates roundoff.  Every live target
+    takes one pivot per round, so all of them share one pivot count.
 
     Returns (distance, y, pivots, failed), one entry per target.  y are the
     optimal multipliers of the equality rows: |y|_inf <= 1, y . g_j <= 0
@@ -195,6 +204,9 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     """
     max_pivots, stop_below = DEFAULT_MAX_PIVOTS, 0.5 * LP_MARGIN
     s, n_cols = gens.shape
+    scale = np.sqrt((gens * gens).sum(axis=0))
+    scale[scale == 0.0] = 1.0
+    gens = gens / scale
     n = own.size
     dist = np.zeros(n)
     y_out = np.zeros((n, s))
@@ -202,7 +214,8 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     failed = np.zeros(n, dtype=np.int8)
 
     # per live target: output slot, own column, target, basis ids, basis
-    # matrix, its inverse and the basis costs
+    # matrix, its inverse, the basis costs, the lowest objective so far and
+    # the rounds since it last fell
     live = np.arange(n)
     lab = own
     target = np.ascontiguousarray(targets)
@@ -213,6 +226,8 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     bmat[:, diag, diag] = np.where(positive, 1.0, -1.0)
     binv = bmat.copy()
     cb = np.ones((n, s))
+    lowest = np.full(n, np.inf)
+    stalled = np.zeros(n, dtype=np.intp)
 
     pivots = 0
     while live.size:
@@ -224,8 +239,8 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
                 failed[live[singular]] = _SINGULAR
                 pivots_out[live[singular]] = pivots
                 keep = ~singular
-                live, lab, target, basis, bmat, binv, cb = (
-                    a[keep] for a in (live, lab, target, basis, bmat, binv, cb))
+                live, lab, target, basis, bmat, binv, cb, lowest, stalled = (
+                    a[keep] for a in (live, lab, target, basis, bmat, binv, cb, lowest, stalled))
                 if not live.size:
                     break
         rows = np.arange(live.size)
@@ -234,12 +249,24 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
         xb = (binv @ target[:, :, None])[:, :, 0]
         value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
         y = (cb[:, None, :] @ binv)[:, 0, :]
+        fell = value < lowest * (1.0 - _RCOST_TOL)  # a fall within rounding is none
+        lowest = np.where(fell, value, lowest)
+        stalled = np.where(fell, 0, stalled + 1)
         red = y @ gens
         red[rows, lab] = -np.inf
-        improving = np.concatenate(
-            [red > _RCOST_TOL, y > 1.0 + _RCOST_TOL, -y > 1.0 + _RCOST_TOL], axis=1)
-        enter = improving.argmax(axis=1)  # Bland: lowest improvable id
-        done = (value < stop_below) | ~improving[rows, enter]
+        enter = red.argmax(axis=1)
+        score = red[rows, enter]
+        k = np.abs(y).argmax(axis=1)
+        yk = y[rows, k]
+        slack_score = np.abs(yk) - 1.0
+        enter = np.where(slack_score > score, np.where(yk > 0.0, n_cols, n_cols + s) + k, enter)
+        score = np.maximum(score, slack_score)
+        bland = np.flatnonzero(stalled >= _STALL)
+        if bland.size:
+            improving = np.concatenate([red[bland] > _RCOST_TOL, y[bland] - 1.0 > _RCOST_TOL,
+                                        -y[bland] - 1.0 > _RCOST_TOL], axis=1)
+            enter[bland] = improving.argmax(axis=1)  # lowest improvable id
+        done = (value < stop_below) | (score <= _RCOST_TOL)
 
         generator = enter < n_cols
         acol = np.zeros((live.size, s))
@@ -252,7 +279,7 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
         ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
         best = ratios.min(axis=1, keepdims=True)
         tied = eligible & (ratios <= best + 1e-15)
-        leave = np.where(tied, basis, n_cols + 2 * s).argmin(axis=1)  # Bland
+        leave = np.where(tied, basis, n_cols + 2 * s).argmin(axis=1)  # lowest id
         unbounded = ~done & ~eligible.any(axis=1)  # cannot occur; defensive
 
         stop = done | unbounded
@@ -264,8 +291,8 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
             failed[live[unbounded]] = _CAP_HIT
             pivots_out[live[unbounded]] = pivots
             keep = ~stop
-            live, lab, target, basis, bmat, binv, cb = (
-                a[keep] for a in (live, lab, target, basis, bmat, binv, cb))
+            live, lab, target, basis, bmat, binv, cb, lowest, stalled = (
+                a[keep] for a in (live, lab, target, basis, bmat, binv, cb, lowest, stalled))
             enter, generator, acol, u, leave = (
                 a[keep] for a in (enter, generator, acol, u, leave))
             if not live.size:

@@ -537,7 +537,7 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     assert f"ValueError: {no_d}: missing key 'd'" in capsys.readouterr().err
 
 
-def test_attack_rank_tol_sets_rank_and_s(tmp_path):
+def test_attack_rank_tol_sets_rank_and_s(tmp_path, capsys):
     case_path = str(tmp_path / "case.json")
     main(["simulate", "--mode", "batch", "--n", "6", "--d", "32", "--classes", "40",
           "--latent", "tanh", "--seed", "5", "--out", case_path])
@@ -552,11 +552,13 @@ def test_attack_rank_tol_sets_rank_and_s(tmp_path):
         assert main(["attack", "rlg", case_path, *extra, "--report", report]) == 0
         entry = load_report(report)["per_case"][0]
         assert entry["rank_estimate"] == entry["inferred_S"] == numeric_rank(sv, tol)
-    # a cut outside (0, 1) fails the case and names the option's field
+    # a cut outside (0, 1) is a usage error, found before any case is read
+    capsys.readouterr()
     for tol in ("2", "nan", "inf"):
-        assert main(["attack", "rlg", case_path, "--rank-tol", tol, "--report", report]) == 1
-        error = load_report(report)["per_case"][0]["error"]
-        assert error.startswith("ValueError: rank_tol_rel must lie in (0, 1)"), error
+        report = str(tmp_path / f"bad-{tol}.json")
+        assert main(["attack", "rlg", case_path, "--rank-tol", tol, "--report", report]) == 2
+        assert "error: rank_tol_rel must lie in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(report)
 
 
 def test_attack_assume_s_sets_s_and_labels(tmp_path):

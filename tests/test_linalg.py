@@ -137,6 +137,9 @@ def test_numeric_rank_validation():
         numeric_rank([1.0, -0.5], 1e-12)
     with pytest.raises(ValueError):
         numeric_rank([1.0], tol_rel=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol_rel"):
+            numeric_rank([3.0, 1.0], bad)
     with pytest.raises(TypeError):
         numeric_rank([1.0])  # the tolerance has no default
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,8 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
 
 
 def test_singular_basis_names_its_cause(monkeypatch):
-    # label 0 of this capture needs 98 pivots, so it reaches the
-    # refactorisation at pivot 64
+    # label 0 of this capture needs 15 pivots, so it reaches the
+    # refactorisation at pivot 4
     case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
                                   latent="tanh", seed=7000))
     _, q, _ = extract_q(case.delta_w)
@@ -185,9 +187,10 @@ def test_singular_basis_names_its_cause(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 4)
     with pytest.raises(LpSingularBasisError) as err:
         lp_feasible(q, 0)
-    assert err.value.pivots == 64
+    assert err.value.pivots == 4
     assert err.value.label == 0
     assert not isinstance(err.value, LpPivotLimitError)
     with pytest.raises(LpSingularBasisError) as err:
@@ -200,39 +203,103 @@ def test_singular_basis_names_its_cause(monkeypatch):
     # naming the lowest failing label
     with pytest.raises(LpSingularBasisError) as err:
         rlg_attack(case.delta_w)
-    assert err.value.pivots == 64
+    assert err.value.pivots == 4
     assert err.value.label == 0 and "label 0 " in str(err.value)
 
 
-def _cycling_capture():
-    # a drop90 copy of a single-sample capture; with the rank-inferred S=22
-    # the LP of its true label 84 cycles on floating-point ties until the cap
-    case = simulate_case(Scenario(d=64, classes=100, mode="single", latent="tanh",
-                                  seed=102 * 1_000_003 + 12))
-    assert case.true_labels == (84,)
-    dw = apply_defense(case.delta_w, DefenseSpec("drop", 0.9))
+def _highs_distance(q, c):
+    optimize = pytest.importorskip("scipy.optimize")
+    s, n = q.shape
+    cost = np.r_[np.zeros(n - 1), np.ones(2 * s)]
+    slack = np.hstack([np.eye(s), -np.eye(s)])
+    res = optimize.linprog(cost, A_eq=np.hstack([np.delete(q, c, axis=1), slack]),
+                           b_eq=q[:, c], bounds=(0, None), method="highs")
+    assert res.status == 0, c
+    return res.fun
+
+
+def _sweep_capture(seed, index, mode, latent, defense):
+    # capture `index` of the perfbench sweep set-up on `seed`, defended
+    n = {"single": 1, "sequence": 12}[mode]
+    case = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, latent=latent,
+                                  seed=seed * 1_000_003 + index))
+    return case, apply_defense(case.delta_w, defense)
+
+
+# drop90 copies of single-sample captures whose true label's LP, with the
+# rank-inferred S, ran to the pivot cap under Bland's rule on floating-point
+# ties: (seed, index, latent, true label, S)
+_CAPPED_DROP90 = ((102, 12, "tanh", 84, 22), (102, 16, "relu", 11, 20),
+                  (201, 20, "gauss", 51, 19))
+
+
+def _capped_capture(seed, index, latent, label, want_s):
+    case, dw = _sweep_capture(seed, index, "single", latent, DefenseSpec("drop", 0.9))
+    assert case.true_labels == (label,)
     s, q, _ = extract_q(dw)
-    assert s == 22
+    assert s == want_s
     return dw, q
 
 
 def test_pivot_cap_never_drops_the_true_label():
-    # the attack either fails by name or keeps the true label; it never
-    # turns the capped LP into "not a label"
-    dw, _ = _cycling_capture()
-    try:
-        labels = rlg_attack(dw).labels
-    except LpPivotLimitError:
-        return
-    assert 84 in labels
+    # each capture is decided and keeps its true label at the HiGHS distance
+    for seed, index, latent, label, want_s in _CAPPED_DROP90:
+        dw, q = _capped_capture(seed, index, latent, label, want_s)
+        assert label in rlg_attack(dw).labels, (seed, latent)
+        r = lp_separator(q, label)
+        assert abs(-(r @ q[:, label]) - _highs_distance(q, label)) <= 1e-6, (seed, latent)
 
 
-@pytest.mark.xfail(raises=LpPivotLimitError, strict=True,
-                   reason="Bland's rule cycles on floating-point ties until the pivot "
-                          "cap (ROADMAP item 5); HiGHS puts the distance at ~1.0")
 def test_cycling_true_label_lp_is_decided_feasible():
-    _, q = _cycling_capture()
+    _, q = _capped_capture(*_CAPPED_DROP90[0])
     assert lp_feasible(q, 84) is True
+
+
+def test_sign_copy_sequence_attacks_match_highs():
+    # sign copies of two sequence captures, attacked at the true S = 12,
+    # whose label LPs used to meet a singular basis; the label set is the
+    # one HiGHS gives, and it holds every true label
+    for seed, index in ((102, 30), (201, 6)):
+        case, dw = _sweep_capture(seed, index, "sequence", "relu", DefenseSpec("sign"))
+        cfg = RlgConfig(assume_s=case.true_s)
+        assert case.true_s == 12
+        _, q, _ = extract_q(dw, cfg)
+        ref = np.array([_highs_distance(q, c) for c in range(q.shape[1])])
+        assert not ((LP_MARGIN / 10 <= ref) & (ref <= 10 * LP_MARGIN)).any()
+        want = set(np.flatnonzero(ref >= LP_MARGIN).tolist())
+        assert rlg_attack(dw, cfg).labels == want, seed
+        assert case.label_set <= want
+
+
+def test_stall_fallback_gives_the_same_decisions(captures, monkeypatch):
+    # with _STALL = 1 every target whose objective does not fall takes
+    # Bland's rule until it falls; the decisions do not move.  On the
+    # captures every pivot lowers the objective, so each Q also comes
+    # rounded to multiples of 1/4, whose ties make degenerate pivots
+    qs = [(f"{tag}{grid}", np.round(q * 4) / 4 if grid else q)
+          for tag, _, _, q in captures for grid in ("", "-grid")]
+    default = [_cone_distances(q, q.T, np.arange(q.shape[1])) for _, q in qs]
+    monkeypatch.setattr(rlg, "_STALL", 1)
+    moved = False
+    for (tag, q), (dist, _, pivots, failed) in zip(qs, default):
+        got, _, got_pivots, got_failed = _cone_distances(q, q.T, np.arange(q.shape[1]))
+        assert not failed.any() and not got_failed.any(), tag
+        assert np.array_equal(got >= LP_MARGIN, dist >= LP_MARGIN), tag
+        moved |= not np.array_equal(got_pivots, pivots)
+    assert moved, "the fallback never changed a pivot path"
+
+
+def test_generator_scale_leaves_decisions_unchanged(captures):
+    # a generator scaled by a positive factor spans the same cone
+    rng = np.random.default_rng(3)
+    for tag, _, _, q in captures:
+        n = q.shape[1]
+        dist, _, _, failed = _cone_distances(q, q.T, np.arange(n))
+        scaled = q * rng.uniform(1e-3, 1e3, size=n)
+        got, _, _, got_failed = _cone_distances(scaled, q.T, np.arange(n))
+        assert not failed.any() and not got_failed.any(), tag
+        assert np.array_equal(got >= LP_MARGIN, dist >= LP_MARGIN), tag
+        assert np.allclose(got, dist, rtol=1e-9, atol=1e-12), tag
 
 
 def test_screen_small_class_count_passes_everything():
@@ -377,14 +444,21 @@ def test_screen_equivalence_large_vocabulary():
 
 def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
     # the one-label-at-a-time solver the lockstep kernel replaced, kept as
-    # the reference: generators are q without the label's column
+    # the reference: generators are q without the label's column.  It enters
+    # the largest score over the unit-norm generators, and the lowest
+    # improvable id (Bland) after rlg._STALL rounds without a fall in the
+    # objective
     s = target.shape[0]
+    scale = np.sqrt((generators * generators).sum(axis=0))
+    scale[scale == 0.0] = 1.0
+    generators = generators / scale
     ng = generators.shape[1]
     sign0 = np.where(target >= 0.0, 1.0, -1.0)
     basis = np.where(target >= 0.0, ng + np.arange(s), ng + s + np.arange(s))
     bmat = np.diag(sign0)
     binv = np.diag(sign0)
     cb = np.ones(s)
+    lowest, stalled = np.inf, 0
     pivots = 0
     while True:
         if pivots and pivots % 64 == 0:
@@ -395,32 +469,30 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
         xb = binv @ target
         value = float(cb @ xb)
         y = cb @ binv
+        fell = value < lowest * (1.0 - 1e-12)
+        lowest, stalled = (value, 0) if fell else (lowest, stalled + 1)
         if value < stop_below:
             return max(value, 0.0), y, pivots
-        enter = -1
-        hits = np.flatnonzero(y @ generators > 1e-12)
-        if hits.size:
-            enter = int(hits[0])
-            acol = generators[:, enter]
-            u = binv @ acol
+        red = y @ generators
+        if stalled >= rlg._STALL:
+            hits = np.flatnonzero(np.r_[red, y - 1.0, -y - 1.0] > 1e-12)
+            enter = int(hits[0]) if hits.size else -1
         else:
-            hits = np.flatnonzero(y > 1.0 + 1e-12)
-            if hits.size:
-                i = int(hits[0])
-                enter = ng + i
-                acol = np.zeros(s)
-                acol[i] = 1.0
-                u = binv[:, i].copy()
+            j, k = int(red.argmax()), int(np.abs(y).argmax())
+            if max(red[j], abs(y[k]) - 1.0) <= 1e-12:
+                enter = -1
+            elif red[j] >= abs(y[k]) - 1.0:
+                enter = j
             else:
-                hits = np.flatnonzero(-y > 1.0 + 1e-12)
-                if hits.size:
-                    i = int(hits[0])
-                    enter = ng + s + i
-                    acol = np.zeros(s)
-                    acol[i] = -1.0
-                    u = -binv[:, i]
+                enter = ng + k if y[k] > 0.0 else ng + s + k
         if enter < 0:
             return max(value, 0.0), y, pivots
+        if enter < ng:
+            acol = generators[:, enter]
+        else:
+            acol = np.zeros(s)
+            acol[(enter - ng) % s] = 1.0 if enter < ng + s else -1.0
+        u = binv @ acol
         rows = np.flatnonzero(u > 1e-12)
         if rows.size == 0:
             raise LpPivotLimitError(pivots, label)
@@ -439,19 +511,21 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
             raise LpPivotLimitError(pivots, label)
 
 
-def test_lockstep_matches_serial_solver_exactly(captures):
+def test_lockstep_matches_serial_solver_exactly(captures, monkeypatch):
     # same arithmetic label by label: distances, multipliers and pivot
-    # counts agree bit for bit, so Bland's rule takes the same path
+    # counts agree bit for bit, so the pricing rule takes the same path, on
+    # the default path and on Bland's path throughout (_STALL = 0)
     stop_below = 0.5e-6
-    for tag, _, _, q in captures:
+    for stall, (tag, _, _, q) in itertools.product((rlg._STALL, 0), captures):
+        monkeypatch.setattr(rlg, "_STALL", stall)
         n = q.shape[1]
         dist, y, pivots, failed = _cone_distances(q, q.T, np.arange(n))
-        assert not failed.any(), tag
+        assert not failed.any(), (tag, stall)
         for c in range(n):
             d, yc, p = _serial_cone_distance(np.delete(q, c, axis=1), q[:, c].copy(),
                                              DEFAULT_MAX_PIVOTS, stop_below, c)
-            assert (dist[c], pivots[c]) == (d, p), (tag, c)
-            assert np.array_equal(y[c], yc), (tag, c)
+            assert (dist[c], pivots[c]) == (d, p), (tag, stall, c)
+            assert np.array_equal(y[c], yc), (tag, stall, c)
 
 
 def test_attack_statuses_match_single_label_solves(captures):
@@ -490,19 +564,12 @@ def test_column_permutation_equivariance():
 
 
 def test_cone_distance_matches_highs(captures):
-    optimize = pytest.importorskip("scipy.optimize")
     for tag, dw, cfg, q in captures:
         if tag.endswith("drop90"):
             continue
         labels = rlg_attack(dw, cfg).labels
-        s, n = q.shape
-        cost = np.r_[np.zeros(n - 1), np.ones(2 * s)]
-        slack = np.hstack([np.eye(s), -np.eye(s)])
-        for c in range(n):
-            res = optimize.linprog(cost, A_eq=np.hstack([np.delete(q, c, axis=1), slack]),
-                                   b_eq=q[:, c], bounds=(0, None), method="highs")
-            assert res.status == 0, (tag, c)
-            ref = res.fun
+        for c in range(q.shape[1]):
+            ref = _highs_distance(q, c)
             if LP_MARGIN / 10 <= ref <= 10 * LP_MARGIN:
                 continue
             assert (c in labels) == (ref >= LP_MARGIN), (tag, c, ref)

@@ -188,7 +188,8 @@ def _cmd_attack(args) -> int:
         raise ValueError("--delta-grd requires exactly one case")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    RlgConfig(rank_tol_rel=args.rank_tol)  # rejects a bad --rank-tol before any case is read
+    # rejects a bad --rank-tol or --assume-s before any case is read
+    RlgConfig(rank_tol_rel=args.rank_tol, assume_s=args.assume_s)
     if args.jobs > 1:
         # the fork start method launches every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.cases))) as pool:

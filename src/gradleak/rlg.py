@@ -4,10 +4,11 @@ Pipeline: infer the contributing sample count S from the numeric rank of the
 update, take the top-S right-singular rows Q (never more than the rows the
 SVD computed), screen the label columns of Q with the same LP restricted to
 the largest-norm columns (only when C exceeds that anchor count), then
-decide per-label membership by linear-programming feasibility.  The surviving labels' LPs are solved
-together in lockstep; each label's decision is the one a solve of its own
-would give.  A label c is kept when some vector r in the unit box
-|r_k| <= 1 satisfies
+decide per-label membership by linear-programming feasibility.  The
+surviving labels' LPs are solved together in lockstep, priced by one matrix
+product per chunk of labels, so a label's pivot path can differ from a solve
+of its own on an exact tie, but not its decision.  A label c is kept when
+some vector r in the unit box |r_k| <= 1 satisfies
 
     r . q_c <= -LP_MARGIN      and      r . q_j >= 0  for every j != c,
 
@@ -19,11 +20,13 @@ exactly when
 
     min{ ||q_c - sum_j lam_j q_j||_1 : lam >= 0 } >= LP_MARGIN,
 
-and that inner minimization is a phase-1 simplex problem (the L1 slack pair
-doubles as the artificial basis).  It is solved here by entering the
-variable with the largest reduced cost over the unit-norm generators
-(Dantzig 1963); a target whose objective stalls falls back to Bland's rule
-(Bland 1977), which cannot cycle in exact arithmetic, until it falls again.
+and that inner minimization is a phase-1 simplex problem over the columns
+of one matrix [G | I | -I] with costs [0 | 1 | 1] (G the unit-norm
+generators; the L1 slack pair doubles as the artificial basis).  It is
+solved here by revised simplex that enters the variable with the largest
+reduced cost (Dantzig 1963); a target whose objective stalls falls back to
+Bland's rule (Bland 1977), which cannot cycle in exact arithmetic, until it
+falls again.
 The optimal simplex multipliers directly yield a primal separator witness,
 exposed via :func:`lp_separator`.
 
@@ -50,7 +53,10 @@ _RCOST_TOL = 1e-12
 _PIVOT_TOL = 1e-12
 _REFACTOR_EVERY = 64
 _STALL = 50  # rounds without a fall in the objective before Bland's rule
-_BATCH_ENTRIES = 1 << 18  # pricing-array entries per chunk of labels (2 MiB)
+# labels per chunk: 2^18 // max(C, s^2), so the (labels, C + 2s) pricing
+# array stays near 2 MiB.  The 2s slack columns are left out on purpose:
+# chunk membership sets the pricing product's rounding, so chunks stay put
+_BATCH_ENTRIES = 1 << 18
 _SCREEN_ANCHORS = 500  # largest-norm columns the screen's LPs may use
 _CAP_HIT = 1
 _SINGULAR = 2
@@ -95,9 +101,9 @@ class RlgConfig:
     no knobs (LP_MARGIN in the unit box, see the module docstring).
 
     rank_tol_rel: relative singular-value cutoff for rank inference, in
-    (0, 1) (None uses `default_rank_tol`, max(d, C) * eps).  assume_s sets
-    S in place of the rank; Q still stops at the rank the SVD computed (see
-    `extract_q`).
+    (0, 1) (None uses `default_rank_tol`, max(d, C) * eps).  assume_s, at
+    least 1, sets S in place of the rank; Q still stops at the rank the SVD
+    computed, and S must stay below min(d, C) (see `extract_q`).
     """
 
     rank_tol_rel: Optional[float] = None
@@ -106,6 +112,8 @@ class RlgConfig:
     def __post_init__(self):
         if self.rank_tol_rel is not None and not 0.0 < self.rank_tol_rel < 1.0:
             raise ValueError(f"rank_tol_rel must lie in (0, 1), got {self.rank_tol_rel}")
+        if self.assume_s is not None and self.assume_s < 1:
+            raise ValueError(f"assume_s must be at least 1, got {self.assume_s}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray, i
     res = svd(a)
     rank = res.rank if cfg.rank_tol_rel is None else numeric_rank(res.singular, cfg.rank_tol_rel)
     if cfg.assume_s is not None:
-        if not (1 <= cfg.assume_s <= min(d, c) - 1):
+        if cfg.assume_s > min(d, c) - 1:
             raise ValueError(f"assume_s must lie in [1, {min(d, c) - 1}], got {cfg.assume_s}")
         s = cfg.assume_s
     else:
@@ -172,22 +180,21 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     targets.  g_j are the columns of `gens`; own_i is the one column target
     i may not use (a label's own column of Q).
 
-    Each target's variables are the columns of gens (cost 0; its own column
-    is never priced) followed by the positive and negative L1 slack pair
-    (cost 1, ids n_cols + i and n_cols + s + i), which doubles as the
-    starting artificial basis.  The generators are divided by their norms
-    once (a zero column keeps scale 1); scaling a generator by a positive
-    factor changes neither the cone nor the distance, so this is the same
-    LP.  The entering variable has the largest score: a generator scores its
-    reduced cost y . g_j over the unit-norm generators, and slack k scores
-    |y_k| - 1 (Dantzig's rule).  A target whose objective has not fallen for
-    _STALL rounds enters the lowest improvable id instead (Bland's rule)
-    until it falls again; the leaving variable is always the lowest basis id
-    among ratio ties.
-    Only each target's s x s basis matrix and its product-form inverse are
-    kept; pricing runs against the read-only generators, so nothing is
-    copied per target and nothing accumulates roundoff.  Every live target
-    takes one pivot per round, so all of them share one pivot count.
+    Every target has the same variables, the columns of A = [G | I | -I]
+    with costs [0 | 1 | 1]: G is `gens` with each column divided by its
+    norm (a zero column keeps scale 1; a positive scale changes neither the
+    cone nor the distance), and ids n_cols + k and n_cols + s + k are the
+    L1 slack pair of row k, which doubles as the starting artificial basis.
+    A basis is its s column ids: its matrix is gathered from A at each
+    refactorisation, and a product-form inverse is updated in between.  The
+    entering variable has the largest reduced cost y . a_j - c_j over all
+    but the own column (Dantzig's rule); a target whose objective has not
+    fallen for _STALL rounds enters the lowest improvable id instead
+    (Bland's rule) until it falls again.  The leaving variable is always
+    the lowest basis id among ratio ties.  Pricing runs against the
+    read-only A, so nothing is copied per target and nothing accumulates
+    roundoff.  Every live target takes one pivot per round, so all of them
+    share one pivot count.
 
     Returns (distance, y, pivots, failed), one entry per target.  y are the
     optimal multipliers of the equality rows: |y|_inf <= 1, y . g_j <= 0
@@ -206,74 +213,63 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     s, n_cols = gens.shape
     scale = np.sqrt((gens * gens).sum(axis=0))
     scale[scale == 0.0] = 1.0
-    gens = gens / scale
+    eye = np.eye(s)
+    amat = np.hstack([gens / scale, eye, -eye])
+    cost = np.r_[np.zeros(n_cols), np.ones(2 * s)]
     n = own.size
     dist = np.zeros(n)
     y_out = np.zeros((n, s))
     pivots_out = np.zeros(n, dtype=np.intp)
     failed = np.zeros(n, dtype=np.int8)
 
-    # per live target: output slot, own column, target, basis ids, basis
-    # matrix, its inverse, the basis costs, the lowest objective so far and
-    # the rounds since it last fell
+    # per live target: output slot, own column, target, basis ids, the
+    # basis inverse, the lowest objective so far and the rounds since it
+    # last fell; the starting basis matrix is its own inverse
     live = np.arange(n)
     lab = own
     target = np.ascontiguousarray(targets)
-    diag = np.arange(s)
-    positive = target >= 0.0
-    basis = np.where(positive, n_cols + diag, n_cols + s + diag)
-    bmat = np.zeros((n, s, s))
-    bmat[:, diag, diag] = np.where(positive, 1.0, -1.0)
-    binv = bmat.copy()
-    cb = np.ones((n, s))
+    basis = np.where(target >= 0.0, n_cols, n_cols + s) + np.arange(s)
+    binv = amat[:, basis].transpose(1, 0, 2).copy()
     lowest = np.full(n, np.inf)
     stalled = np.zeros(n, dtype=np.intp)
 
     pivots = 0
     while live.size:
         if pivots and pivots % _REFACTOR_EVERY == 0:
-            # bmat is exact (plain column replacements); refreshing the
+            # the gathered basis matrix is exact; refreshing the
             # product-form inverse stops pivot-to-pivot roundoff growth
-            binv, singular = _invert(bmat)
+            binv, singular = _invert(amat[:, basis].transpose(1, 0, 2))
             if singular.any():
                 failed[live[singular]] = _SINGULAR
                 pivots_out[live[singular]] = pivots
                 keep = ~singular
-                live, lab, target, basis, bmat, binv, cb, lowest, stalled = (
-                    a[keep] for a in (live, lab, target, basis, bmat, binv, cb, lowest, stalled))
+                live, lab, target, basis, binv, lowest, stalled = (
+                    a[keep] for a in (live, lab, target, basis, binv, lowest, stalled))
                 if not live.size:
                     break
         rows = np.arange(live.size)
-        # stacked matmul runs one BLAS call per target, so every target's
-        # arithmetic is that of a solve on its own
+        cb = cost[basis]
+        # stacked matmul runs one BLAS call per target; the pricing product
+        # is one gemm per chunk, so its last-bit rounding can depend on the
+        # chunk's rows and width, and an exact tie may take another pivot
+        # path (to the same decision)
         xb = (binv @ target[:, :, None])[:, :, 0]
         value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
         y = (cb[:, None, :] @ binv)[:, 0, :]
         fell = value < lowest * (1.0 - _RCOST_TOL)  # a fall within rounding is none
         lowest = np.where(fell, value, lowest)
         stalled = np.where(fell, 0, stalled + 1)
-        red = y @ gens
+        red = y @ amat
+        red -= cost
         red[rows, lab] = -np.inf
         enter = red.argmax(axis=1)
         score = red[rows, enter]
-        k = np.abs(y).argmax(axis=1)
-        yk = y[rows, k]
-        slack_score = np.abs(yk) - 1.0
-        enter = np.where(slack_score > score, np.where(yk > 0.0, n_cols, n_cols + s) + k, enter)
-        score = np.maximum(score, slack_score)
         bland = np.flatnonzero(stalled >= _STALL)
         if bland.size:
-            improving = np.concatenate([red[bland] > _RCOST_TOL, y[bland] - 1.0 > _RCOST_TOL,
-                                        -y[bland] - 1.0 > _RCOST_TOL], axis=1)
-            enter[bland] = improving.argmax(axis=1)  # lowest improvable id
+            enter[bland] = (red[bland] > _RCOST_TOL).argmax(axis=1)  # lowest improvable id
         done = (value < stop_below) | (score <= _RCOST_TOL)
 
-        generator = enter < n_cols
-        acol = np.zeros((live.size, s))
-        acol[generator] = gens[:, enter[generator]].T
-        slack = np.flatnonzero(~generator)
-        k = enter[slack] - n_cols
-        acol[slack, k % s] = np.where(k < s, 1.0, -1.0)
+        acol = amat[:, enter].T
         u = (binv @ acol[:, :, None])[:, :, 0]
         eligible = u > _PIVOT_TOL
         ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
@@ -291,17 +287,14 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
             failed[live[unbounded]] = _CAP_HIT
             pivots_out[live[unbounded]] = pivots
             keep = ~stop
-            live, lab, target, basis, bmat, binv, cb, lowest, stalled = (
-                a[keep] for a in (live, lab, target, basis, bmat, binv, cb, lowest, stalled))
-            enter, generator, acol, u, leave = (
-                a[keep] for a in (enter, generator, acol, u, leave))
+            live, lab, target, basis, binv, lowest, stalled = (
+                a[keep] for a in (live, lab, target, basis, binv, lowest, stalled))
+            enter, u, leave = (a[keep] for a in (enter, u, leave))
             if not live.size:
                 break
             rows = np.arange(live.size)
 
         basis[rows, leave] = enter
-        bmat[rows, :, leave] = acol
-        cb[rows, leave] = np.where(generator, 0.0, 1.0)
         u_leave = u[rows, leave]
         eta = -u / u_leave[:, None]
         eta[rows, leave] = 1.0 / u_leave - 1.0
@@ -394,9 +387,11 @@ def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig()) -> LabelSetPrediction:
     """Full pipeline: rank inference, right-singular extraction, the screen,
     and per-label LP feasibility.
 
-    The screen's survivors run their full LPs together in lockstep, and each
-    decision is the one `lp_feasible` gives for that label alone, so the
-    result does not depend on which labels are solved together.  A label
+    The screen's survivors run their full LPs together in lockstep.  Their
+    pricing product is one gemm per chunk, whose last-bit rounding can
+    depend on the chunk's rows and width, so an exact tie may take another
+    pivot path than `lp_feasible` on that label alone; the decision is the
+    same.  A label
     the screen drops is infeasible by proof, and is not in `labels`.  A
     survivor's LP that fails is not decided: the lowest failing survivor's
     LpSingularBasisError or LpPivotLimitError is raised, as a label-by-label

@@ -578,6 +578,17 @@ def test_attack_assume_s_sets_s_and_labels(tmp_path):
     assert exit_.value.code == 2
 
 
+def test_attack_assume_s_below_one_is_a_usage_error(tmp_path, capsys):
+    # found before any case is read: a case path that does not exist is
+    # never opened, and no report is written
+    missing = str(tmp_path / "missing.json")
+    for bad in ("0", "-2"):
+        report = str(tmp_path / f"bad{bad}.json")
+        assert main(["attack", "rlg", missing, "--assume-s", bad, "--report", report]) == 2
+        assert f"error: assume_s must be at least 1, got {bad}" in capsys.readouterr().err
+        assert not os.path.exists(report)
+
+
 def test_bench_suite_prints_lines_and_exit_code(monkeypatch, capsys):
     good = bench.CriterionResult("good", True, {"x": 1})
     bad = bench.CriterionResult("bad", False, {"y": 2})

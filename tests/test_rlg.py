@@ -36,6 +36,10 @@ def test_config_validation():
     for bad in (-1e-3, 0.0, 1.0, 2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rank_tol_rel"):
             RlgConfig(rank_tol_rel=bad)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="assume_s"):
+            RlgConfig(assume_s=bad)
+    assert RlgConfig(assume_s=1).assume_s == 1
 
 
 def test_extract_q_single_sample():
@@ -526,6 +530,35 @@ def test_lockstep_matches_serial_solver_exactly(captures, monkeypatch):
                                              DEFAULT_MAX_PIVOTS, stop_below, c)
             assert (dist[c], pivots[c]) == (d, p), (tag, stall, c)
             assert np.array_equal(y[c], yc), (tag, stall, c)
+
+
+def test_lockstep_matches_serial_solver_at_larger_s():
+    # the capped drop90 captures at the rank-inferred S = 19..22: a chunk's
+    # pricing gemm may round apart from the serial product in the last
+    # bits, so decisions, failure codes and distances are compared, not
+    # bits.  An LP that stops below the early-stop line reports only that
+    stop_below = 0.5e-6
+    for capture in _CAPPED_DROP90:
+        _, q = _capped_capture(*capture)
+        assert q.shape[0] >= 17
+        n = q.shape[1]
+        dist, _, _, failed = _cone_distances(q, q.T, np.arange(n))
+        for c in range(n):
+            try:
+                d, _, _ = _serial_cone_distance(np.delete(q, c, axis=1), q[:, c].copy(),
+                                                DEFAULT_MAX_PIVOTS, stop_below, c)
+                code = 0
+            except LpPivotLimitError:
+                code = rlg._CAP_HIT
+            except LpSingularBasisError:
+                code = rlg._SINGULAR
+            assert failed[c] == code, (capture, c)
+            if code:
+                continue
+            assert (dist[c] >= LP_MARGIN) == (d >= LP_MARGIN), (capture, c)
+            assert (dist[c] < stop_below) == (d < stop_below), (capture, c)
+            if d >= stop_below:
+                assert abs(dist[c] - d) <= 1e-12, (capture, c)
 
 
 def test_attack_statuses_match_single_label_solves(captures):

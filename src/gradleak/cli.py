@@ -188,7 +188,15 @@ def _cmd_attack(args) -> int:
         raise ValueError("--delta-grd requires exactly one case")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    # rejects a bad --rank-tol or --assume-s before any case is read
+    # an S option the attack would ignore, a bad --rank-tol or a bad
+    # --assume-s is refused before any case is read
+    if args.attack != "rlg":
+        for option, given in (("--assume-s", args.assume_s is not None),
+                              ("--use-true-s", args.use_true_s),
+                              ("--rank-tol", args.rank_tol is not None)):
+            if given:
+                raise ValueError(f"{option} sets S for the rlg attack only; "
+                                 f"{args.attack} does not read it")
     RlgConfig(rank_tol_rel=args.rank_tol, assume_s=args.assume_s)
     if args.jobs > 1:
         # the fork start method launches every worker at the first submit
@@ -226,6 +234,11 @@ def _config_echo(args) -> dict:
 
 def _cmd_defend(args) -> int:
     bundle = load_case(args.case)
+    if bundle.defense_applied is not None:
+        # a case records one defense, so a second would forget the first
+        recorded = bundle.defense_applied
+        raise ValueError(f"{args.case} already has a defense applied ({recorded.kind}, "
+                         f"rate {recorded.rate}); defend the undefended case instead")
     spec = DefenseSpec(kind=args.defense, rate=args.rate if args.defense == "drop" else 0.0)
     defended = apply_defense(bundle.case.delta_w, spec)
     new_case = GradientCase(scenario=bundle.case.scenario, delta_w=defended,

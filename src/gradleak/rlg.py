@@ -4,8 +4,9 @@ Pipeline: infer the contributing sample count S from the numeric rank of the
 update, take the top-S right-singular rows Q (never more than the rows the
 SVD computed), screen the label columns of Q with the same LP restricted to
 the largest-norm columns (only when C exceeds that anchor count), then
-decide per-label membership by linear-programming feasibility.  The
-surviving labels' LPs are solved together in lockstep, priced by one matrix
+decide per-label membership by linear-programming feasibility.  The screen
+and the label decisions are one call each of one simplex kernel, which
+solves all of that stage's LPs together in lockstep, priced by one matrix
 product per chunk of labels, so a label's pivot path can differ from a solve
 of its own on an exact tie, but not its decision.  A label c is kept when
 some vector r in the unit box |r_k| <= 1 satisfies
@@ -181,27 +182,41 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     i may not use (a label's own column of Q).
 
     Every target has the same variables, the columns of A = [G | I | -I]
-    with costs [0 | 1 | 1]: G is `gens` with each column divided by its
-    norm (a zero column keeps scale 1; a positive scale changes neither the
-    cone nor the distance), and ids n_cols + k and n_cols + s + k are the
-    L1 slack pair of row k, which doubles as the starting artificial basis.
-    A basis is its s column ids: its matrix is gathered from A at each
-    refactorisation, and a product-form inverse is updated in between.  The
-    entering variable has the largest reduced cost y . a_j - c_j over all
-    but the own column (Dantzig's rule); a target whose objective has not
-    fallen for _STALL rounds enters the lowest improvable id instead
-    (Bland's rule) until it falls again.  The leaving variable is always
-    the lowest basis id among ratio ties.  Pricing runs against the
-    read-only A, so nothing is copied per target and nothing accumulates
-    roundoff.  Every live target takes one pivot per round, so all of them
-    share one pivot count.
+    with costs [0 | 1 | 1], built once per call: G is `gens` with each
+    column divided by its norm (a zero column keeps scale 1; a positive
+    scale changes neither the cone nor the distance), and ids n_cols + k and
+    n_cols + s + k are the L1 slack pair of row k, which doubles as the
+    starting artificial basis.  A basis is its s column ids: its matrix is
+    gathered from A at each refactorisation, and a product-form inverse is
+    updated in between.  The entering variable has the largest reduced cost
+    y . a_j - c_j over all but the own column (Dantzig's rule); a target
+    whose objective has not fallen for _STALL rounds enters the lowest
+    improvable id instead (Bland's rule) until it falls again.  The leaving
+    variable is always the lowest basis id among ratio ties.  Pricing runs
+    against the read-only A, so nothing is copied per target and nothing
+    accumulates roundoff.
+
+    The targets run in chunks of max(1, _BATCH_ENTRIES // max(n_cols, s^2))
+    rows, one after the other, which bound the (targets, n_cols) pricing
+    array and the (targets, s, s) basis stacks.  Every live target of a
+    chunk takes one pivot per round, so all of them share one pivot count,
+    and every target that ends in a round leaves through one exit, in this
+    order of precedence:
+
+    - a basis matrix found singular at a refactorisation: failed _SINGULAR,
+      pivots the count at that round;
+    - decided: the objective is below the early-stop line, or no reduced
+      cost is positive (optimal): failed 0, pivots the count at that round;
+    - an empty ratio test (unbounded; cannot occur, defensive): failed
+      _CAP_HIT, pivots the count at that round;
+    - still running when the count reaches DEFAULT_MAX_PIVOTS (read at call
+      time): failed _CAP_HIT, pivots that count + 1, the pivot it would
+      take past the cap.
 
     Returns (distance, y, pivots, failed), one entry per target.  y are the
     optimal multipliers of the equality rows: |y|_inf <= 1, y . g_j <= 0
-    for every j != own_i, and y . t_i equals the distance.  failed is
-    _CAP_HIT for an unbounded ratio test or a run past DEFAULT_MAX_PIVOTS
-    (read at call time), _SINGULAR for a basis matrix found singular at a
-    refactorisation, with `pivots` the count at the failure.
+    for every j != own_i, and y . t_i equals the distance.  A failed target
+    keeps distance 0 and y 0.
 
     The objective is non-increasing and bounded by the optimum from below,
     so once it falls under half of LP_MARGIN the threshold decision is
@@ -221,101 +236,87 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     y_out = np.zeros((n, s))
     pivots_out = np.zeros(n, dtype=np.intp)
     failed = np.zeros(n, dtype=np.int8)
-
-    # per live target: output slot, own column, target, basis ids, the
-    # basis inverse, the lowest objective so far and the rounds since it
-    # last fell; the starting basis matrix is its own inverse
-    live = np.arange(n)
-    lab = own
-    target = np.ascontiguousarray(targets)
-    basis = np.where(target >= 0.0, n_cols, n_cols + s) + np.arange(s)
-    binv = amat[:, basis].transpose(1, 0, 2).copy()
-    lowest = np.full(n, np.inf)
-    stalled = np.zeros(n, dtype=np.intp)
-
-    pivots = 0
-    while live.size:
-        if pivots and pivots % _REFACTOR_EVERY == 0:
-            # the gathered basis matrix is exact; refreshing the
-            # product-form inverse stops pivot-to-pivot roundoff growth
-            binv, singular = _invert(amat[:, basis].transpose(1, 0, 2))
-            if singular.any():
-                failed[live[singular]] = _SINGULAR
-                pivots_out[live[singular]] = pivots
-                keep = ~singular
-                live, lab, target, basis, binv, lowest, stalled = (
-                    a[keep] for a in (live, lab, target, basis, binv, lowest, stalled))
-                if not live.size:
-                    break
-        rows = np.arange(live.size)
-        cb = cost[basis]
-        # stacked matmul runs one BLAS call per target; the pricing product
-        # is one gemm per chunk, so its last-bit rounding can depend on the
-        # chunk's rows and width, and an exact tie may take another pivot
-        # path (to the same decision)
-        xb = (binv @ target[:, :, None])[:, :, 0]
-        value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
-        y = (cb[:, None, :] @ binv)[:, 0, :]
-        fell = value < lowest * (1.0 - _RCOST_TOL)  # a fall within rounding is none
-        lowest = np.where(fell, value, lowest)
-        stalled = np.where(fell, 0, stalled + 1)
-        red = y @ amat
-        red -= cost
-        red[rows, lab] = -np.inf
-        enter = red.argmax(axis=1)
-        score = red[rows, enter]
-        bland = np.flatnonzero(stalled >= _STALL)
-        if bland.size:
-            enter[bland] = (red[bland] > _RCOST_TOL).argmax(axis=1)  # lowest improvable id
-        done = (value < stop_below) | (score <= _RCOST_TOL)
-
-        acol = amat[:, enter].T
-        u = (binv @ acol[:, :, None])[:, :, 0]
-        eligible = u > _PIVOT_TOL
-        ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
-        best = ratios.min(axis=1, keepdims=True)
-        tied = eligible & (ratios <= best + 1e-15)
-        leave = np.where(tied, basis, n_cols + 2 * s).argmin(axis=1)  # lowest id
-        unbounded = ~done & ~eligible.any(axis=1)  # cannot occur; defensive
-
-        stop = done | unbounded
-        if stop.any():
-            out = live[done]
-            dist[out] = np.maximum(value[done], 0.0)
-            y_out[out] = y[done]
-            pivots_out[out] = pivots
-            failed[live[unbounded]] = _CAP_HIT
-            pivots_out[live[unbounded]] = pivots
-            keep = ~stop
-            live, lab, target, basis, binv, lowest, stalled = (
-                a[keep] for a in (live, lab, target, basis, binv, lowest, stalled))
-            enter, u, leave = (a[keep] for a in (enter, u, leave))
-            if not live.size:
-                break
-            rows = np.arange(live.size)
-
-        basis[rows, leave] = enter
-        u_leave = u[rows, leave]
-        eta = -u / u_leave[:, None]
-        eta[rows, leave] = 1.0 / u_leave - 1.0
-        binv += eta[:, :, None] * binv[rows, leave][:, None, :]
-        pivots += 1
-        if pivots > max_pivots:
-            failed[live] = _CAP_HIT
-            pivots_out[live] = pivots
-            break
-    return dist, y_out, pivots_out, failed
-
-
-def _lockstep(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
-    """_cone_distances run over chunks of targets that bound the
-    (targets, n_cols) pricing array and the (targets, s, s) basis stacks."""
-    s, n_cols = gens.shape
     per = max(1, _BATCH_ENTRIES // max(n_cols, s * s))
-    # no targets still makes one (empty) chunk, so the outputs keep their types
-    parts = [_cone_distances(gens, targets[lo:lo + per], own[lo:lo + per])
-             for lo in range(0, max(own.size, 1), per)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    for lo in range(0, n, per):
+        # per live target: output slot, own column, target, basis ids, the
+        # basis inverse, the lowest objective so far and the rounds since it
+        # last fell; the starting basis matrix is its own inverse
+        live = np.arange(lo, min(lo + per, n))
+        lab = own[lo:lo + per]
+        target = np.ascontiguousarray(targets[lo:lo + per])
+        basis = np.where(target >= 0.0, n_cols, n_cols + s) + np.arange(s)
+        binv = amat[:, basis].transpose(1, 0, 2).copy()
+        lowest = np.full(live.size, np.inf)
+        stalled = np.zeros(live.size, dtype=np.intp)
+        pivots = 0
+        while live.size:
+            rows = np.arange(live.size)
+            singular = None
+            if pivots and pivots % _REFACTOR_EVERY == 0:
+                # the gathered basis matrix is exact; refreshing the
+                # product-form inverse stops pivot-to-pivot roundoff growth
+                binv, singular = _invert(amat[:, basis].transpose(1, 0, 2))
+            cb = cost[basis]
+            # stacked matmul runs one BLAS call per target; the pricing
+            # product is one gemm per chunk, so its last-bit rounding can
+            # depend on the chunk's rows and width, and an exact tie may
+            # take another pivot path (to the same decision)
+            xb = (binv @ target[:, :, None])[:, :, 0]
+            value = (cb[:, None, :] @ xb[:, :, None])[:, 0, 0]
+            y = (cb[:, None, :] @ binv)[:, 0, :]
+            fell = value < lowest * (1.0 - _RCOST_TOL)  # a fall within rounding is none
+            lowest = np.where(fell, value, lowest)
+            stalled = np.where(fell, 0, stalled + 1)
+            red = y @ amat
+            red -= cost
+            red[rows, lab] = -np.inf
+            enter = red.argmax(axis=1)
+            score = red[rows, enter]
+            bland = np.flatnonzero(stalled >= _STALL)
+            if bland.size:
+                enter[bland] = (red[bland] > _RCOST_TOL).argmax(axis=1)  # lowest improvable id
+            done = (value < stop_below) | (score <= _RCOST_TOL)
+
+            acol = amat[:, enter].T
+            u = (binv @ acol[:, :, None])[:, :, 0]
+            eligible = u > _PIVOT_TOL
+            ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
+            best = ratios.min(axis=1, keepdims=True)
+            tied = eligible & (ratios <= best + 1e-15)
+            leave = np.where(tied, basis, n_cols + 2 * s).argmin(axis=1)  # lowest id
+
+            stop = done | ~eligible.any(axis=1)  # or an empty ratio test
+            if singular is not None:
+                stop |= singular
+                done &= ~singular
+            if pivots >= max_pivots or stop.any():
+                # the one exit.  Codes are written in reverse order of
+                # precedence, so the first ending that applies wins; at the
+                # cap every target ends, and one that had not stopped counts
+                # the pivot it would take past it
+                end = stop | (pivots >= max_pivots)
+                out = live[end]
+                failed[out] = _CAP_HIT
+                pivots_out[out] = pivots + ~stop[end]
+                out = live[done]
+                failed[out] = 0
+                dist[out] = np.maximum(value[done], 0.0)
+                y_out[out] = y[done]
+                if singular is not None:
+                    failed[live[singular]] = _SINGULAR
+                keep = ~end
+                live, lab, target, basis, binv, lowest, stalled, enter, u, leave = (
+                    a[keep] for a in
+                    (live, lab, target, basis, binv, lowest, stalled, enter, u, leave))
+                rows = rows[:live.size]
+
+            basis[rows, leave] = enter
+            u_leave = u[rows, leave]
+            eta = -u / u_leave[:, None]
+            eta[rows, leave] = 1.0 / u_leave - 1.0
+            binv += eta[:, :, None] * binv[rows, leave][:, None, :]
+            pivots += 1
+    return dist, y_out, pivots_out, failed
 
 
 def _solve_labels(q: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +327,7 @@ def _solve_labels(q: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     loop would: LpSingularBasisError for a singular basis, LpPivotLimitError
     for a pivot-cap overrun.
     """
-    dist, y, pivots, failed = _lockstep(q, q[:, labels].T, labels)
+    dist, y, pivots, failed = _cone_distances(q, q[:, labels].T, labels)
     if failed.any():
         i = failed.nonzero()[0][0]
         error = LpSingularBasisError if failed[i] == _SINGULAR else LpPivotLimitError
@@ -378,7 +379,7 @@ def screen(q) -> set[int]:
     gens[:, :-1] = q[:, anchors]
     own = np.full(n_cols, _SCREEN_ANCHORS)
     own[anchors] = np.arange(_SCREEN_ANCHORS)
-    dist, _, _, failed = _lockstep(gens, q.T, own)
+    dist, _, _, failed = _cone_distances(gens, q.T, own)
     rejected = (failed == 0) & (dist < LP_MARGIN)
     return set(np.flatnonzero(~rejected).tolist())
 

@@ -589,6 +589,36 @@ def test_attack_assume_s_below_one_is_a_usage_error(tmp_path, capsys):
         assert not os.path.exists(report)
 
 
+def test_attack_s_options_are_refused_by_attacks_that_do_not_read_s(tmp_path, capsys):
+    # only rlg reads S; idlg and mincol refuse an S option before any case
+    # is read, name it, and write no report
+    missing = str(tmp_path / "missing.json")
+    for attack, extra in (("idlg", ["--assume-s", "7"]), ("idlg", ["--rank-tol", "0.5"]),
+                          ("mincol", ["--use-true-s"]), ("mincol", ["--assume-s", "2"])):
+        report = str(tmp_path / f"{attack}.json")
+        assert main(["attack", attack, missing, *extra, "--report", report]) == 2
+        assert f"error: {extra[0]} sets S for the rlg attack only" in capsys.readouterr().err
+        assert not os.path.exists(report)
+
+
+def test_defend_refuses_an_already_defended_case(tmp_path, capsys):
+    case_path = str(tmp_path / "case.json")
+    main(["simulate", "--mode", "batch", "--n", "3", "--d", "8",
+          "--classes", "6", "--seed", "9", "--out", case_path])
+    dropped = tmp_path / "d1.json"
+    assert main(["defend", "drop", case_path, "--rate", "0.5", "--out", str(dropped)]) == 0
+    capsys.readouterr()
+    before = dropped.read_bytes()
+    signed = str(tmp_path / "d2.json")
+    assert main(["defend", "sign", str(dropped), "--out", signed]) == 2
+    assert "already has a defense applied (drop, rate 0.5)" in capsys.readouterr().err
+    assert not os.path.exists(signed)
+    # in place, the defended file is left as it was
+    assert main(["defend", "sign", str(dropped)]) == 2
+    assert dropped.read_bytes() == before
+    assert load_case(str(dropped)).defense_applied == DefenseSpec("drop", 0.5)
+
+
 def test_bench_suite_prints_lines_and_exit_code(monkeypatch, capsys):
     good = bench.CriterionResult("good", True, {"x": 1})
     bad = bench.CriterionResult("bad", False, {"y": 2})

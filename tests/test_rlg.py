@@ -211,6 +211,40 @@ def test_singular_basis_names_its_cause(monkeypatch):
     assert err.value.label == 0 and "label 0 " in str(err.value)
 
 
+def test_lps_that_end_in_the_same_round_keep_their_own_codes(captures, monkeypatch):
+    # with _REFACTOR_EVERY = DEFAULT_MAX_PIVOTS = 8, round 8 of the tanh
+    # capture ends every LP at once: label 31 (a true label, 8 pivots) is
+    # decided, label 0 meets a singular basis at the refactorisation, and
+    # labels 1 and 2 are still running at the cap
+    tag, _, _, q = captures[0]
+    assert tag == "tanh-clean"
+    labels = np.array([31, 0, 1, 2])
+    monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 8)
+    ref, ref_y, ref_pivots, ref_failed = _cone_distances(q, q[:, labels].T, labels)
+    assert ref_pivots[0] == 8 and (ref_pivots[1:] > 8).all() and not ref_failed.any()
+    invert = rlg._invert
+    monkeypatch.setattr(rlg, "DEFAULT_MAX_PIVOTS", 8)
+    singular, capped = rlg._SINGULAR, rlg._CAP_HIT
+    # flagging label 31 instead shows a singular basis coming before a
+    # decision in the same round
+    endings = ((1, [0, singular, capped, capped], [8, 8, 9, 9]),
+               (0, [singular, capped, capped, capped], [8, 9, 9, 9]))
+    for flagged, want_failed, want_pivots in endings:
+        def flag(bmat):
+            binv, _ = invert(bmat)
+            assert len(bmat) == 4  # every LP is live at the refactorisation
+            return binv, np.arange(4) == flagged
+
+        monkeypatch.setattr(rlg, "_invert", flag)
+        dist, y, pivots, failed = _cone_distances(q, q[:, labels].T, labels)
+        assert failed.tolist() == want_failed, flagged
+        assert pivots.tolist() == want_pivots, flagged
+        decided = failed == 0
+        assert (dist[decided] == ref[decided]).all() and (ref[decided] >= LP_MARGIN).all()
+        assert np.array_equal(y[decided], ref_y[decided])
+        assert not dist[~decided].any() and not y[~decided].any(), flagged
+
+
 def _highs_distance(q, c):
     optimize = pytest.importorskip("scipy.optimize")
     s, n = q.shape

@@ -9,12 +9,12 @@ Inf or an empty dimension is refused with its path.
 CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
 base64 text of its payload, ground truth (label list plus the ordered
 sequence for sequence-mode cases), an optional defense record, and an
-optional id-to-token vocabulary.  Version 1, which stored the matrix as
-nested decimal lists, is still read; only version 2 is written.
+optional id-to-token vocabulary.
 
 Decoder file (JSON, version 2): d_a, classes, and `w` (d_a x classes), `b`
 (classes) and, when present, `pos` (max_len x classes) as base64 payloads.
-Version 1 (nested lists) is still read.
+
+A case or decoder file of any other version is refused with its path.
 
 The .grd sidecar is the raw payload behind a header: magic "GRD1" and
 little-endian uint32 d and C.
@@ -84,9 +84,9 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 @contextmanager
-def _document(path: str, kind: str, versions: tuple[int, ...]):
+def _document(path: str, kind: str, version: int):
     """The JSON document at `path`, for the `with` body to read, once its
-    version is checked to be one of `versions`.  Text that is not JSON,
+    version is checked to be `version`.  Text that is not JSON,
     another version, a missing key, a value of the wrong type and any
     ValueError the body raises all come out as one ValueError naming the
     file."""
@@ -94,7 +94,7 @@ def _document(path: str, kind: str, versions: tuple[int, ...]):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         got = doc.get("version")
-        if got not in versions:
+        if got != version:
             raise ValueError(f"unrecognized {kind} version {got!r}")
         yield doc
     except KeyError as exc:
@@ -164,15 +164,8 @@ def save_case(path: str, case: GradientCase,
 
 
 def load_case(path: str) -> CaseFile:
-    with _document(path, "case", (1, CASE_VERSION)) as doc:
-        shape = (int(doc["d"]), int(doc["C"]))
-        if doc["version"] == 1:
-            delta_w = as_matrix(doc["delta_w"], "delta_w")
-        else:
-            delta_w = _from_text(doc["delta_w"], shape, "delta_w")
-        if delta_w.shape != shape:
-            raise ValueError(f"delta_w shape {delta_w.shape} does not match "
-                             f"declared {shape}")
+    with _document(path, "case", CASE_VERSION) as doc:
+        delta_w = _from_text(doc["delta_w"], (int(doc["d"]), int(doc["C"])), "delta_w")
         scenario = _scenario_from_dict(doc["scenario"])
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
         vocab = None
@@ -220,10 +213,7 @@ def save_decoder(path: str, decoder: ToyDecoder) -> None:
 
 
 def load_decoder(path: str) -> ToyDecoder:
-    with _document(path, "decoder", (1, DECODER_VERSION)) as doc:
-        if doc["version"] == 1:
-            # nested lists; ToyDecoder converts and checks them
-            return ToyDecoder(w=doc["w"], b=doc["b"], pos=doc.get("pos"))
+    with _document(path, "decoder", DECODER_VERSION) as doc:
         c = int(doc["classes"])
         pos = None
         if doc.get("pos") is not None:
@@ -261,7 +251,7 @@ def save_report(path: str, per_case: list[dict], config: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with _document(path, "report", (1,)) as doc:
+    with _document(path, "report", 1) as doc:
         if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
             raise TypeError("per_case must be a list and aggregate an object")
         # reads every score key of every scored entry, so a missing one is named

@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int, required=True, help="latent dimension")
     sim.add_argument("--classes", type=int, required=True)
     sim.add_argument("--latent", choices=["relu", "tanh", "gauss"], default="gauss")
-    sim.add_argument("--lr", type=float, default=0.1, help="per-step learning rate (multistep)")
+    sim.add_argument("--lr", type=float, default=None,
+                     help="per-step learning rate (multistep only, default 0.1)")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", required=True, help="case file path (directory when --count > 1)")
     sim.add_argument("--count", type=int, default=1, help="cases to write, seeds seed..seed+count-1")
@@ -78,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dfd = sub.add_parser("defend", help="rewrite a case with a compression defense applied")
     dfd.add_argument("defense", choices=["sign", "drop"])
     dfd.add_argument("case", metavar="CASE")
-    dfd.add_argument("--rate", type=float, default=0.5, help="drop fraction (drop only)")
+    dfd.add_argument("--rate", type=float, default=None,
+                     help="drop fraction (drop only, default 0.5)")
     dfd.add_argument("--out", default=None, help="output path (default: rewrite in place)")
 
     gmp = sub.add_parser("gm", help="gradient-matching sequence reconstruction")
@@ -110,13 +112,19 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    if args.count > 1 and args.grd_out:
-        raise ValueError("--grd-out only applies to a single case")
+    # an option that would be ignored, or apply to one case of many, is
+    # refused before anything is written
+    for option, given in (("--grd-out", args.grd_out), ("--decoder-out", args.decoder_out)):
+        if args.count > 1 and given:
+            raise ValueError(f"{option} only applies to a single case")
+    if args.lr is not None and args.mode != "multistep":
+        raise ValueError(f"--lr sets the multistep learning rate; {args.mode} does not read it")
+    lr = 0.1 if args.lr is None else args.lr
 
     def scenario_for(s):
         return Scenario(d=args.d, classes=args.classes, mode=args.mode,
                         n=args.n, k=args.k,
-                        lrs=(args.lr,) * args.k if args.mode == "multistep" else None,
+                        lrs=(lr,) * args.k if args.mode == "multistep" else None,
                         latent=args.latent, seed=s)
 
     # one case goes to --out itself unless that is a directory
@@ -233,13 +241,13 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_defend(args) -> int:
+    spec = DefenseSpec(kind=args.defense, rate=args.rate)
     bundle = load_case(args.case)
     if bundle.defense_applied is not None:
         # a case records one defense, so a second would forget the first
         recorded = bundle.defense_applied
         raise ValueError(f"{args.case} already has a defense applied ({recorded.kind}, "
                          f"rate {recorded.rate}); defend the undefended case instead")
-    spec = DefenseSpec(kind=args.defense, rate=args.rate if args.defense == "drop" else 0.0)
     defended = apply_defense(bundle.case.delta_w, spec)
     new_case = GradientCase(scenario=bundle.case.scenario, delta_w=defended,
                             true_labels=bundle.case.true_labels, vocab=bundle.case.vocab)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -15,12 +16,19 @@ DEFENSE_KINDS = ("sign", "drop")
 
 @dataclass(frozen=True)
 class DefenseSpec:
+    """A defense and its rate.  Only `drop` has a rate: an omitted one is
+    0.5 for `drop` and 0.0 for `sign`, which refuses any other."""
+
     kind: str
-    rate: float = 0.0
+    rate: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
             raise ValueError(f"unknown defense {self.kind!r}, expected one of {DEFENSE_KINDS}")
+        if self.rate is None:
+            object.__setattr__(self, "rate", 0.5 if self.kind == "drop" else 0.0)
+        if self.kind == "sign" and self.rate != 0.0:
+            raise ValueError(f"sign takes no rate, got {self.rate}")
         if self.kind == "drop" and not (0.0 <= self.rate < 1.0):
             raise ValueError("drop rate must lie in [0, 1)")
 

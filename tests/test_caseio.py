@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def test_case_sequence_carries_ordered_ground_truth(tmp_path):
     case = simulate_case(Scenario(d=6, classes=5, mode="sequence", n=4, seed=8))
     path = str(tmp_path / "seq.json")
     save_case(path, case)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["ground_truth"]["sequence"] == list(case.true_labels)
     assert doc["version"] == 2
 
@@ -51,14 +52,14 @@ def test_case_rejects_bad_version_and_shape(tmp_path):
     case = simulate_case(Scenario(d=4, classes=3, mode="single", seed=1))
     path = str(tmp_path / "bad.json")
     save_case(path, case)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["version"] = 99
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_case(path)
     doc["version"] = 2
     doc["d"] = 5
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_case(path)
 
@@ -71,7 +72,7 @@ def test_grd_round_trip_and_layout(tmp_path):
     back = read_grd(path)
     assert back.tobytes() == m.tobytes()
 
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"GRD1"
     d, c = struct.unpack("<II", blob[4:12])
     assert (d, c) == (3, 5)
@@ -81,12 +82,12 @@ def test_grd_round_trip_and_layout(tmp_path):
 
 def test_grd_rejects_corruption(tmp_path):
     path = str(tmp_path / "bad.grd")
-    open(path, "wb").write(b"NOPE" + b"\x00" * 16)
+    Path(path).write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_grd(path)
     write_grd(path, np.ones((2, 2)))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-4])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-4])
     with pytest.raises(ValueError):
         read_grd(path)
 
@@ -113,9 +114,9 @@ def test_decoder_positional_offsets_round_trip(tmp_path):
     assert back.b.tobytes() == dec.b.tobytes()
 
     # a file written without offsets still loads, with none
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["pos"]
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     assert load_decoder(path).pos is None
 
 
@@ -140,11 +141,11 @@ def test_version_2_case_round_trip_is_bit_exact_on_edge_values(tmp_path):
     case = edge_case()
     path = str(tmp_path / "edge.json")
     save_case(path, case)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["version"] == 2
     # the same payload as the .grd sidecar, base64 encoded
     write_grd(str(tmp_path / "edge.grd"), case.delta_w)
-    assert base64.b64decode(doc["delta_w"]) == open(tmp_path / "edge.grd", "rb").read()[12:]
+    assert base64.b64decode(doc["delta_w"]) == (tmp_path / "edge.grd").read_bytes()[12:]
     loaded = load_case(path).case.delta_w
     assert loaded.tobytes() == case.delta_w.tobytes()
     assert loaded.dtype == np.float64 and loaded.dtype.isnative
@@ -158,7 +159,7 @@ def test_version_2_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with
                      pos=edge_matrix(2, 4, 3) if with_pos else None)
     path = str(tmp_path / "dec.json")
     save_decoder(path, dec)
-    assert json.loads(open(path).read())["version"] == 2
+    assert json.loads(Path(path).read_text())["version"] == 2
     back = load_decoder(path)
     assert back.w.tobytes() == dec.w.tobytes()
     assert back.b.tobytes() == dec.b.tobytes()
@@ -166,33 +167,6 @@ def test_version_2_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with
         assert back.pos.tobytes() == dec.pos.tobytes()
     else:
         assert back.pos is None
-
-
-def test_version_1_files_still_load_bit_exact(tmp_path):
-    case = edge_case()
-    case_path = str(tmp_path / "v1-case.json")
-    open(case_path, "w").write(json.dumps({
-        "version": 1, "d": 4, "C": 5,
-        "scenario": dataclasses.asdict(case.scenario),
-        "delta_w": case.delta_w.tolist(),
-        "ground_truth": {"labels": [1, 3]},
-        "defense_applied": {"kind": "drop", "rate": 0.5},
-    }))
-    loaded = load_case(case_path)
-    assert loaded.case.delta_w.tobytes() == case.delta_w.tobytes()
-    assert loaded.case.scenario == case.scenario
-    assert loaded.case.true_labels == (1, 3)
-    assert loaded.defense_applied == DefenseSpec(kind="drop", rate=0.5)
-
-    w, b, pos = edge_matrix(3, 4, 1), edge_matrix(1, 4, 2)[0], edge_matrix(2, 4, 3)
-    dec_path = str(tmp_path / "v1-dec.json")
-    for extra in ({"pos": pos.tolist()}, {}):
-        open(dec_path, "w").write(json.dumps({
-            "version": 1, "d_a": 3, "classes": 4, "w": w.tolist(), "b": b.tolist(), **extra}))
-        back = load_decoder(dec_path)
-        assert back.w.tobytes() == w.tobytes()
-        assert back.b.tobytes() == b.tobytes()
-        assert (back.pos is None) if not extra else back.pos.tobytes() == pos.tobytes()
 
 
 def test_bad_version_2_payloads_name_the_file(tmp_path):
@@ -210,10 +184,10 @@ def test_bad_version_2_payloads_name_the_file(tmp_path):
             (dec_path, "b", "@@@@", "decoder bias is not base64 text"),
             (dec_path, "pos", nan[:24],
              "decoder positional offsets payload holds 18 bytes, shape (2, 4) needs 64")):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc[key] = text
         bad = str(tmp_path / f"bad-{key}.json")
-        open(bad, "w").write(json.dumps(doc))
+        Path(bad).write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             (load_case if path == case_path else load_decoder)(bad)
         assert str(err.value).startswith(f"{bad}: {cause}"), str(err.value)
@@ -228,7 +202,7 @@ def test_grd_errors_name_the_file_and_cause(tmp_path):
              "delta_w contains NaN or Inf entries"),
             (b"GRD1" + struct.pack("<II", 1, 2) + struct.pack("<d", 1.0),
              "delta_w payload holds 8 bytes, shape (1, 2) needs 16")):
-        open(path, "wb").write(blob)
+        Path(path).write_bytes(blob)
         with pytest.raises(ValueError) as err:
             read_grd(path)
         assert str(err.value).startswith(f"{path}: {cause}"), str(err.value)
@@ -285,13 +259,16 @@ def test_every_loader_names_the_version_it_got(tmp_path):
     save_case(paths["case"], case)
     save_decoder(paths["decoder"], initial_state(case.scenario))
     save_report(paths["report"], [], config={})
-    for kind, load in (("case", load_case), ("decoder", load_decoder), ("report", load_report)):
-        doc = json.loads(open(paths[kind]).read())
-        doc["version"] = 3
-        open(paths[kind], "w").write(json.dumps(doc))
+    # version 1, the nested-list case and decoder format, is refused like any other
+    for kind, load, version in (("case", load_case, 1), ("case", load_case, 3),
+                                ("decoder", load_decoder, 1), ("decoder", load_decoder, 3),
+                                ("report", load_report, 3)):
+        doc = json.loads(Path(paths[kind]).read_text())
+        doc["version"] = version
+        Path(paths[kind]).write_text(json.dumps(doc))
         with pytest.raises(ValueError) as err:
             load(paths[kind])
-        assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version 3"
+        assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version {version}"
 
 
 def test_case_scenario_block_is_pinned(tmp_path):

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ def test_simulate_multistep_sets_every_step_lr(tmp_path):
     assert load_case(case_path).case.scenario.lrs == (0.3,) * 3
 
 
+def test_simulate_refuses_options_it_would_ignore(tmp_path, capsys):
+    # --decoder-out would save the first seed's decoder for every case, and
+    # --lr is read by multistep only; neither run writes anything
+    cases, dec, case = (str(tmp_path / name) for name in ("cases", "dec.json", "case.json"))
+    base = ["simulate", "--n", "2", "--d", "6", "--classes", "5", "--seed", "21"]
+    for extra, cause in (
+            (["--mode", "sequence", "--count", "3", "--out", cases, "--decoder-out", dec],
+             "--decoder-out only applies to a single case"),
+            (["--mode", "batch", "--lr", "0.7", "--out", case],
+             "--lr sets the multistep learning rate; batch does not read it")):
+        assert main(base + extra) == 2, extra
+        assert f"error: {cause}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 def test_attack_rlg_with_true_s_and_report_fields(tmp_path):
     out_dir = str(tmp_path / "cases")
     report = str(tmp_path / "report.json")
@@ -121,7 +137,7 @@ def test_attack_report_determinism_modulo_wall_time(tmp_path):
     main(["attack", "rlg", *cases, "--report", r2])
 
     def strip(path):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         for e in doc["per_case"]:
             e.pop("wall_time_ms")
         for key in ("report",):
@@ -265,64 +281,33 @@ def test_defend_rewrites_case(tmp_path):
     assert set(np.unique(signed.case.delta_w)) <= {-1.0, 0.0, 1.0}
 
 
-def version_1_copy(path, out, keys):
-    """The version-1 file of a version-2 case or decoder: each matrix in
-    `keys` as nested lists, loaded through the version-2 reader."""
-    doc = json.loads(open(path).read())
-    loaded = load_case(path).case if "delta_w" in keys else load_decoder(path)
-    for key in keys:
-        if key in doc:
-            doc[key] = getattr(loaded, key).tolist()
-    doc.pop("max_len", None)
-    doc["version"] = 1
-    open(out, "w").write(json.dumps(doc))
-    return out
-
-
-def test_defend_upgrades_a_version_1_case(tmp_path):
-    v2 = str(tmp_path / "case.json")
+def test_defend_writes_the_defended_payload_and_record(tmp_path):
+    case_path = str(tmp_path / "case.json")
     main(["simulate", "--mode", "batch", "--n", "3", "--d", "8",
-          "--classes", "6", "--seed", "9", "--out", v2])
-    v1 = version_1_copy(v2, str(tmp_path / "case-v1.json"), ["delta_w"])
-    original = load_case(v1).case
+          "--classes", "6", "--seed", "9", "--out", case_path])
+    original = load_case(case_path).case
     out = str(tmp_path / "defended.json")
     for kind, spec in (("sign", DefenseSpec("sign")), ("drop", DefenseSpec("drop", 0.5))):
-        extra = ["--rate", "0.5"] if kind == "drop" else []
-        assert main(["defend", kind, v1, *extra, "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        assert main(["defend", kind, case_path, "--out", out]) == 0
+        doc = json.loads(Path(out).read_text())
         assert doc["version"] == 2
         assert (base64.b64decode(doc["delta_w"])
                 == apply_defense(original.delta_w, spec).astype("<f8").tobytes())
         assert load_case(out).defense_applied == spec
 
 
-def test_attack_and_gm_read_version_1_inputs_like_version_2(tmp_path):
-    case_v2 = str(tmp_path / "seq.json")
-    dec_v2 = str(tmp_path / "dec.json")
-    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6", "--classes", "5",
-          "--seed", "21", "--out", case_v2, "--decoder-out", dec_v2])
-    case_v1 = version_1_copy(case_v2, str(tmp_path / "seq-v1.json"), ["delta_w"])
-    dec_v1 = version_1_copy(dec_v2, str(tmp_path / "dec-v1.json"), ["w", "b", "pos"])
-    report = str(tmp_path / "rep.json")
-
-    def attack(attack, case):
-        assert main(["attack", attack, case, "--report", report]) == 0
-        doc = load_report(report)
-        for e in doc["per_case"]:
-            e.pop("wall_time_ms"), e.pop("case_id")
-        return doc["per_case"], doc["aggregate"]
-
-    def gm(case, dec):
-        assert main(["gm", case, "--decoder", dec, "--bow", "--restarts", "2",
-                     "--seed", "0", "--report", report]) == 0
-        doc = json.loads(open(report).read())
-        for key in ("case", "decoder", "argv"):
-            doc["config"].pop(key)
-        return doc
-
-    for name in ("rlg", "mincol"):
-        assert attack(name, case_v1) == attack(name, case_v2)
-    assert gm(case_v1, dec_v1) == gm(case_v2, dec_v2)
+def test_defend_sign_refuses_a_rate(tmp_path, capsys):
+    case_path = str(tmp_path / "case.json")
+    main(["simulate", "--mode", "batch", "--n", "3", "--d", "8",
+          "--classes", "6", "--seed", "9", "--out", case_path])
+    before = Path(case_path).read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "signed.json"
+    assert main(["defend", "sign", case_path, "--rate", "0.3", "--out", str(out)]) == 2
+    assert "error: sign takes no rate, got 0.3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["defend", "sign", case_path, "--rate", "0.3"]) == 2
+    assert Path(case_path).read_bytes() == before
 
 
 def test_grd_sidecar_and_override(tmp_path):
@@ -366,7 +351,7 @@ def test_gm_subcommand_end_to_end(tmp_path):
     assert main(["gm", case_path, "--decoder", dec_path, "--bow",
                  "--use-true-s", "--restarts", "2", "--seed", "0",
                  "--report", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     truth = load_case(case_path).case.true_labels
     assert sorted(doc["result"]["transcript"]) == sorted(truth)
     assert doc["result"]["n_vars"] == 2 * (6 + len(set(truth)))
@@ -406,7 +391,7 @@ def test_gm_positional_offsets_decide_order_through_files(tmp_path):
         assert main(["gm", case_path, "--decoder", path, "--bow", "--use-true-s",
                      "--restarts", "2", "--seed", "0", "--lambda", "0.1",
                      "--report", report]) == 0
-        transcripts.append(json.loads(open(report).read())["result"]["transcript"])
+        transcripts.append(json.loads(Path(report).read_text())["result"]["transcript"])
     assert transcripts[0] == labels
     assert sorted(transcripts[1]) == sorted(labels)
     assert transcripts[1] != labels
@@ -430,7 +415,7 @@ def test_gm_bow_inferred_s_runs_one_svd(tmp_path, monkeypatch):
     assert main(["gm", case_path, "--decoder", dec_path, "--bow",
                  "--restarts", "1", "--seed", "0", "--report", report]) == 0
     assert len(calls) == 1
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     truth = load_case(case_path).case.true_labels
     assert doc["config"]["s_used"] == 2
     assert doc["config"]["bow"] == sorted(set(truth))
@@ -447,7 +432,7 @@ def test_gm_s_sets_s_used(tmp_path):
             "--report", report]
     for extra in ([], ["--bow"]):
         assert main(head + extra + ["--s", "3"]) == 0
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert doc["config"]["s_used"] == doc["config"]["assume_s"] == 3
     # one S choice per command
     with pytest.raises(SystemExit) as exit_:
@@ -486,7 +471,7 @@ def test_env_seed_default(tmp_path, monkeypatch):
 
 def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
-    open(bad, "w").write("{not json")
+    Path(bad).write_text("{not json")
     report = str(tmp_path / "rep.json")
     code = main(["attack", "rlg", bad, "--report", report])
     assert code != 0
@@ -505,10 +490,10 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
     def broken(path, name, edit):
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         edit(doc)
         out = str(tmp_path / name)
-        open(out, "w").write(json.dumps(doc))
+        Path(out).write_text(json.dumps(doc))
         return out
 
     no_d = broken(case_path, "no-d.json", lambda doc: doc.pop("d"))
@@ -516,7 +501,7 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     no_w = broken(dec_path, "no-w.json", lambda doc: doc.pop("w"))
     no_per_case = broken(report, "no-per-case.json", lambda doc: doc.pop("per_case"))
     part_score = str(tmp_path / "part-score.json")
-    open(part_score, "w").write(json.dumps(
+    Path(part_score).write_text(json.dumps(
         {"version": 1, "per_case": [{"set_score": {"precision": 1.0}}], "aggregate": {}}))
     no_le = broken(report, "no-le.json", lambda doc: doc["per_case"][0].pop("length_error"))
     gm_tail = ["--restarts", "1", "--seed", "0", "--report", str(tmp_path / "gm.json")]
@@ -535,6 +520,14 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     # attack records the cause per case and names the file too
     assert main(["attack", "rlg", no_d, "--report", report]) == 1
     assert f"ValueError: {no_d}: missing key 'd'" in capsys.readouterr().err
+
+    # a version-1 case is refused by version, whatever it holds
+    v1 = broken(case_path, "v1.json", lambda doc: doc.update(version=1))
+    assert main(["defend", "sign", v1]) == 2
+    assert capsys.readouterr().err == f"error: {v1}: unrecognized case version 1\n"
+    assert main(["attack", "rlg", v1, "--report", report]) == 1
+    assert (load_report(report)["per_case"][0]["error"]
+            == f"ValueError: {v1}: unrecognized case version 1")
 
 
 def test_attack_rank_tol_sets_rank_and_s(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Pipeline: infer the contributing sample count S from the numeric rank of the
 update, take the top-S right-singular rows Q (never more than the rows the
-SVD computed), screen the label columns of Q with the same LP restricted to
+SVD computed), reject most non-labels with shared-basis certificates (see
+`_certify`), screen the labels left undecided with the same LP restricted to
 the largest-norm columns (only when C exceeds that anchor count), then
 decide per-label membership by linear-programming feasibility.  The screen
 and the label decisions are one call each of one simplex kernel, which
@@ -31,11 +32,17 @@ falls again.
 The optimal simplex multipliers directly yield a primal separator witness,
 exposed via :func:`lp_separator`.
 
-Every label decision is the LP's answer or a named error: an LP that runs
-past DEFAULT_MAX_PIVOTS raises LpPivotLimitError, and one whose basis turns
-singular raises LpSingularBasisError; both name that label.  Neither is
-read as "not a label", since the label whose LP failed may be a true one
-(in floating point even Bland's rule can cycle on ties until the cap).
+Any lam >= 0 bounds that minimum from above, so a certificate is one such
+point: with a basis B of S columns of Q other than q_c and lam = max(B^-1 q_c,
+0), a residual ||q_c - B lam||_1 below LP_MARGIN / 2, after an allowance for
+its own rounding, proves label c infeasible, as the LP itself would find.
+
+Every label decision is a certificate, the LP's answer or a named error: an
+LP that runs past DEFAULT_MAX_PIVOTS raises LpPivotLimitError, and one whose
+basis turns singular raises LpSingularBasisError; both name that label.
+Neither is read as "not a label", since the label whose LP failed may be a
+true one (in floating point even Bland's rule can cycle on ties until the
+cap).  A label a certificate rejects runs no LP, so it never raises.
 """
 
 from __future__ import annotations
@@ -356,8 +363,58 @@ def lp_feasible(q, c: int) -> bool:
     return lp_separator(q, c) is not None
 
 
-def screen(q) -> set[int]:
-    """Sound pre-filter over label columns: the labels the full LP may keep.
+def _largest_columns(q: np.ndarray, count: int) -> np.ndarray:
+    """Ids of the `count` largest-norm columns of q, ties by lower id."""
+    return np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")[:count]
+
+
+def _certify(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reject labels by shared-basis certificates; returns (w, by).
+
+    w holds the s + 1 largest-norm columns of q (s its row count), and basis
+    k is w without w[k].  For every label c outside basis B, lam =
+    max(B^-1 q_c, 0) is feasible for c's LP, so its L1 residual bounds c's
+    cone distance from above; a residual below LP_MARGIN / 2, after an
+    allowance of 2 (s + 1) eps (||q_c||_1 + || |B| lam ||_1) for the rounding
+    of the residual itself, proves c infeasible.  lam needs no accuracy, so
+    an ill-conditioned B can fail to reject, but not reject wrongly.  by[c]
+    is the k of a basis that rejects c, or -1 when none does (always, when
+    C <= s + 1).  A basis found singular, or with a non-finite inverse, is
+    skipped.  The bases run in groups, in order of k, each over the labels
+    no earlier group rejected; a group holds as many bases as keep its
+    (bases, s, labels) arrays within _BATCH_ENTRIES entries, and at least one.
+    """
+    s, n_cols = q.shape
+    w = _largest_columns(q, s + 1)
+    by = np.full(n_cols, -1, dtype=np.intp)
+    if n_cols <= s + 1:
+        return w, by
+    bases = w[np.nonzero(~np.eye(s + 1, dtype=bool))[1].reshape(s + 1, s)]  # row k: w but w[k]
+    bmat = q[:, bases].transpose(1, 0, 2)
+    binv, singular = _invert(bmat)
+    ids = np.flatnonzero(~singular & np.isfinite(binv).all(axis=(1, 2)))
+    l1 = np.abs(q).sum(axis=0)
+    slack = 2 * (s + 1) * np.finfo(float).eps
+    undecided = np.arange(n_cols)
+    while ids.size and undecided.size:
+        ks, ids = np.split(ids, [max(1, _BATCH_ENTRIES // (s * undecided.size))])
+        target, lb = q[:, undecided], l1[bases[ks]]
+        # any lam >= 0 is feasible, so the clip keeps the proof; a lam_j past
+        # its cap would put the allowance alone over the line, and capped,
+        # the products below cannot overflow
+        lam = np.clip(binv[ks] @ target, 0.0, (0.5 * LP_MARGIN / slack / lb)[:, :, None])
+        bound = np.abs(target - bmat[ks] @ lam).sum(axis=1)
+        bound += slack * (l1[undecided] + (lb[:, None, :] @ lam)[:, 0, :])
+        rejects = (bound < 0.5 * LP_MARGIN) & (bases[ks, :, None] != undecided).all(axis=1)
+        hit = rejects.any(axis=0)
+        by[undecided[hit]] = ks[rejects.argmax(axis=0)[hit]]
+        undecided = undecided[~hit]
+    return w, by
+
+
+def screen(q, labels=None) -> set[int]:
+    """Sound pre-filter over label columns: the labels (all of them when
+    `labels` is None) the full LP may keep.
 
     Every label's LP is first solved against only the _SCREEN_ANCHORS
     largest-norm columns other than its own.  Those are a subset of all the
@@ -369,37 +426,39 @@ def screen(q) -> set[int]:
     """
     q = as_matrix(q, "q")
     s, n_cols = q.shape
+    labels = np.arange(n_cols) if labels is None else np.asarray(labels, dtype=np.intp)
     if n_cols <= _SCREEN_ANCHORS:
-        return set(range(n_cols))
-    norms = np.sqrt((q * q).sum(axis=0))
-    anchors = np.argsort(-norms, kind="stable")[:_SCREEN_ANCHORS]
+        return set(labels.tolist())
+    anchors = _largest_columns(q, _SCREEN_ANCHORS)
     # a label that is not an anchor excludes the appended zero column, whose
     # reduced cost is exactly 0, so it never enters and excluding it is moot
     gens = np.zeros((s, _SCREEN_ANCHORS + 1))
     gens[:, :-1] = q[:, anchors]
     own = np.full(n_cols, _SCREEN_ANCHORS)
     own[anchors] = np.arange(_SCREEN_ANCHORS)
-    dist, _, _, failed = _cone_distances(gens, q.T, own)
+    dist, _, _, failed = _cone_distances(gens, q[:, labels].T, own[labels])
     rejected = (failed == 0) & (dist < LP_MARGIN)
-    return set(np.flatnonzero(~rejected).tolist())
+    return set(labels[~rejected].tolist())
 
 
 def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig()) -> LabelSetPrediction:
-    """Full pipeline: rank inference, right-singular extraction, the screen,
-    and per-label LP feasibility.
+    """Full pipeline: rank inference, right-singular extraction, the
+    certificates, the screen, and per-label LP feasibility.
 
-    The screen's survivors run their full LPs together in lockstep.  Their
-    pricing product is one gemm per chunk, whose last-bit rounding can
-    depend on the chunk's rows and width, so an exact tie may take another
-    pivot path than `lp_feasible` on that label alone; the decision is the
-    same.  A label
-    the screen drops is infeasible by proof, and is not in `labels`.  A
-    survivor's LP that fails is not decided: the lowest failing survivor's
-    LpSingularBasisError or LpPivotLimitError is raised, as a label-by-label
-    loop would.  The screen itself never raises.
+    A label a certificate (`_certify`) or the screen rejects is infeasible
+    by proof, and is not in `labels`; the screen runs only over the labels
+    no certificate rejected.  The survivors run their full LPs together in
+    lockstep.  Their pricing product is one gemm per chunk, whose last-bit
+    rounding can depend on the chunk's rows and width, so an exact tie may
+    take another pivot path than `lp_feasible` on that label alone; the
+    decision is the same.  A survivor's LP that fails is not decided: the
+    lowest failing survivor's LpSingularBasisError or LpPivotLimitError is
+    raised, as a label-by-label loop would.  A certified label runs no LP
+    and never raises, and neither do the certificates or the screen.
     """
     s, q, rank_estimate = extract_q(delta_w, cfg)
-    cols = np.array(sorted(screen(q)), dtype=np.intp)
+    _, by = _certify(q)
+    cols = np.array(sorted(screen(q, np.flatnonzero(by < 0))), dtype=np.intp)
     feasible, _ = _solve_labels(q, cols)
     return LabelSetPrediction(inferred_s=s, labels=frozenset(cols[feasible].tolist()),
                               rank_estimate=rank_estimate)

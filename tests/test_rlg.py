@@ -8,7 +8,7 @@ from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
 from gradleak.rlg import (DEFAULT_MAX_PIVOTS, LP_MARGIN, DegenerateUpdateError,
                           LpPivotLimitError, LpSingularBasisError, RankAssumptionError,
-                          RlgConfig,
+                          RlgConfig, _certify,
                           _cone_distances, _solve_labels, extract_q, lp_feasible,
                           lp_separator, rlg_attack, screen)
 from gradleak.simulator import Scenario, simulate_case
@@ -165,12 +165,14 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
         lp_feasible(q, 0)
     assert err.value.label == 0
     case = simulate_case(Scenario(d=16, classes=12, mode="batch", n=3, seed=10))
+    _, q, _ = extract_q(case.delta_w)
     with pytest.raises(LpPivotLimitError) as err:
         rlg_attack(case.delta_w)
     assert err.value.pivots == 1
-    # every label's LP needs a pivot; the lowest one is named
-    assert err.value.label == 0 and "label 0 " in str(err.value)
-    _, q, _ = extract_q(case.delta_w)
+    # every LP needs a pivot; a certified label runs none, so the lowest
+    # label no certificate rejects is named
+    first = int(np.flatnonzero(_certify(q)[1] < 0)[0])
+    assert err.value.label == first and f"label {first} " in str(err.value)
     with pytest.raises(LpPivotLimitError) as err:
         lp_feasible(q, 9)
     assert err.value.label == 9
@@ -192,6 +194,10 @@ def test_singular_basis_names_its_cause(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", singular)
     monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 4)
+    # the certificates invert their bases the same way, so every one is
+    # found singular and skipped: no label is certified, and the lowest
+    # label is the lowest to reach an LP
+    first = int(np.flatnonzero(_certify(q)[1] < 0)[0])
     with pytest.raises(LpSingularBasisError) as err:
         lp_feasible(q, 0)
     assert err.value.pivots == 4
@@ -203,12 +209,12 @@ def test_singular_basis_names_its_cause(monkeypatch):
     with pytest.raises(LpSingularBasisError) as err:
         _solve_labels(q, np.array([50, 24]))
     assert err.value.label == 50
-    # the whole attack solves its labels together and fails the same way,
-    # naming the lowest failing label
+    # the whole attack solves the labels no certificate rejects together and
+    # fails the same way, naming the lowest failing label
     with pytest.raises(LpSingularBasisError) as err:
         rlg_attack(case.delta_w)
     assert err.value.pivots == 4
-    assert err.value.label == 0 and "label 0 " in str(err.value)
+    assert err.value.label == first and f"label {first} " in str(err.value)
 
 
 def test_lps_that_end_in_the_same_round_keep_their_own_codes(captures, monkeypatch):
@@ -338,6 +344,110 @@ def test_generator_scale_leaves_decisions_unchanged(captures):
         assert not failed.any() and not got_failed.any(), tag
         assert np.array_equal(got >= LP_MARGIN, dist >= LP_MARGIN), tag
         assert np.allclose(got, dist, rtol=1e-9, atol=1e-12), tag
+
+
+def _sweep_mode_captures():
+    # a capture of each mode of the perfbench sweep, each mode drawn with
+    # another latent, and its copies as the sweep attacks them: (tag, q)
+    kinds = (("single", 1, 1), ("batch", 10, 1), ("sequence", 12, 1), ("multistep", 2, 2))
+    for i, (mode, n, k) in enumerate(kinds):
+        case = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
+                                      lrs=(0.1,) * k if mode == "multistep" else None,
+                                      latent=LATENTS[i % 3], seed=8300 + i))
+        true_s = RlgConfig(assume_s=case.true_s)
+        yield f"{mode}-clean", extract_q(case.delta_w)[1]
+        for tag, spec in (("drop90", DefenseSpec("drop", 0.9)), ("sign", DefenseSpec("sign"))):
+            yield f"{mode}-{tag}", extract_q(apply_defense(case.delta_w, spec), true_s)[1]
+
+
+def test_certificate_rejections_hold_against_highs(captures):
+    # every label a certificate rejects is within the margin of the cone of
+    # its rejecting basis alone by an independent solver, so of the cone of
+    # all the other columns, and that basis never holds the label's own column
+    qs = [(tag, q) for tag, _, _, q in captures]
+    qs += list(_sweep_mode_captures())
+    case, cfg = _wide_capture(8)
+    for tag, dw in (("clean", case.delta_w),
+                    ("drop90", apply_defense(case.delta_w, DefenseSpec("drop", 0.9))),
+                    ("sign", apply_defense(case.delta_w, DefenseSpec("sign")))):
+        qs.append((f"wide-{tag}", extract_q(dw, cfg)[1]))
+    rejected = 0
+    for tag, q in qs:
+        w, by = _certify(q)
+        assert w.size == q.shape[0] + 1, tag
+        for c in np.flatnonzero(by >= 0):
+            basis = np.delete(w, by[c])
+            assert c not in basis, (tag, c)
+            assert _highs_distance(q[:, np.r_[basis, c]], basis.size) < LP_MARGIN, (tag, c)
+        rejected += int((by >= 0).sum())
+    assert rejected > 1000
+
+
+def test_repeated_labels_and_sign_copies_fall_through_to_the_lps():
+    # ten samples of four labels need more than one positive column to span
+    # the non-labels, and a sign copy loses the sign pattern, so the
+    # certificates decide few labels and the screen (C = 600) and the full
+    # LPs decide the rest.  S is the rank, so a row map keeps Q's row space
+    rng = np.random.default_rng(17)
+    for d, classes, latent, tags in ((64, 100, "tanh", ("clean", "sign")),
+                                     (32, 600, "gauss", ("clean",))):
+        case = simulate_case(Scenario(d=d, classes=classes, mode="batch", n=10, latent=latent,
+                                      labels=(3, 3, 3, 17, 17, 42, 42, 42, 42, 5), seed=9100))
+        assert case.true_s == 10 and len(case.label_set) == 4
+        for tag in tags:
+            dw = case.delta_w if tag == "clean" else apply_defense(case.delta_w, DefenseSpec(tag))
+            _, q, _ = extract_q(dw)
+            assert (_certify(q)[1] < 0).sum() > classes * 3 // 4, (classes, tag)
+            want = _brute_force_labels(q)
+            assert case.label_set <= want
+            assert rlg_attack(dw).labels == want, (classes, tag)
+            perm = rng.permutation(classes)
+            assert {int(perm[j]) for j in rlg_attack(dw[:, perm]).labels} == want, (classes, tag)
+            assert rlg_attack(rng.normal(size=(d, d)) @ dw).labels == want, (classes, tag)
+
+
+def test_certificate_degenerate_bases_reject_nothing_wrongly(captures):
+    rng = np.random.default_rng(7)
+    # C <= s + 1: every column is in every basis but one
+    w, by = _certify(rng.normal(size=(3, 4)))
+    assert sorted(w.tolist()) == [0, 1, 2, 3] and (by == -1).all()
+    # two nonzero columns for s = 3: every basis holds a zero column and is
+    # singular, so nothing is rejected, not even the zero columns
+    q = np.zeros((3, 9))
+    q[:, :2] = rng.normal(size=(3, 2))
+    assert (_certify(q)[1] == -1).all()
+    # columns 0 and 1 span (0, 0.5) only with multipliers 5e11, which the
+    # LP's pivot tolerance cannot see, so it keeps label 3; the rounding
+    # allowance keeps the certificate from rejecting it on a residual of 0
+    q = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 1e-12, -1.0, 0.5]])
+    assert (_certify(q)[1] == -1).all() and 3 in _brute_force_labels(q)
+    # the largest column duplicated, and zero columns outside w: every basis
+    # with both copies is singular to rounding, and a zero column is rejected
+    _, _, _, q = captures[0]
+    top = rlg._largest_columns(q, q.shape[1])
+    dup = q.copy()
+    dup[:, top[-1]] = q[:, top[0]]
+    for q in (dup, np.hstack([q, np.zeros((q.shape[0], 5))])):
+        w, by = _certify(q)
+        rejected = set(np.flatnonzero(by >= 0).tolist())
+        assert rejected and not rejected & _brute_force_labels(q)
+        for c in rejected:
+            assert _highs_distance(q, c) < LP_MARGIN, c
+    assert {100, 101, 102, 103, 104} <= rejected
+
+
+def test_certificates_leave_few_non_labels_to_the_screen(monkeypatch):
+    # on clean batch captures the certificates decide all but a handful of
+    # non-labels, so the attack's 500-anchor screen runs over almost nothing
+    screened = []
+    monkeypatch.setattr(rlg, "screen", lambda q, labels: screened.append(labels) or set(labels))
+    for latent in LATENTS:
+        case = simulate_case(Scenario(d=128, classes=1000, mode="batch", n=16,
+                                      latent=latent, seed=8400))
+        assert rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s)).labels == case.label_set
+        undecided = set(screened.pop().tolist())
+        assert case.label_set <= undecided, latent
+        assert len(undecided - case.label_set) <= 3, latent
 
 
 def test_screen_small_class_count_passes_everything():

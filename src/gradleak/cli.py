@@ -28,7 +28,7 @@ from .defense import DefenseSpec, apply_defense
 from .gm import GMProblem, reconstruct
 from .metrics import length_error, set_score
 from .rlg import RlgConfig, extract_q, rlg_attack
-from .simulator import GradientCase, Scenario, initial_state, simulate_case
+from .simulator import DEFAULT_STEP_LR, GradientCase, Scenario, initial_state, simulate_case
 
 
 def _default_seed() -> int:
@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"{option} only applies to a single case")
     if args.lr is not None and args.mode != "multistep":
         raise ValueError(f"--lr sets the multistep learning rate; {args.mode} does not read it")
-    lr = 0.1 if args.lr is None else args.lr
+    lr = DEFAULT_STEP_LR if args.lr is None else args.lr
 
     def scenario_for(s):
         return Scenario(d=args.d, classes=args.classes, mode=args.mode,
@@ -136,9 +136,13 @@ def _cmd_simulate(args) -> int:
         path = os.path.join(args.out, f"case-{s:08d}.json") if in_dir else args.out
         paths.append(path)
         if args.skip_existing and os.path.exists(path):
-            continue
-        case = simulate_case(scenario_for(s))
-        save_case(path, case)
+            # a kept case still gets the sidecar the command names
+            if not args.grd_out:
+                continue
+            case = load_case(path).case
+        else:
+            case = simulate_case(scenario_for(s))
+            save_case(path, case)
         if args.grd_out:
             write_grd(args.grd_out, case.delta_w)
     if args.decoder_out:

@@ -73,6 +73,13 @@ def _forward(a: np.ndarray, p: np.ndarray, dec: ToyDecoder,
     return sm, sm - full
 
 
+def _residual(a: np.ndarray, p: np.ndarray,
+              prob: GMProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (softmax, M, E) with E = A^T M - target; a and p are one pair or a stack
+    sm, m = _forward(a, p, prob.decoder, prob.cols)
+    return sm, m, a.swapaxes(-1, -2) @ m - prob.target_grad
+
+
 @dataclass(frozen=True)
 class GMProblem:
     """One reconstruction instance: target gradient, frozen decoder, length,
@@ -161,9 +168,8 @@ def gm_objective(a, p, prob: GMProblem) -> float:
     """
     a = as_matrix(a, "context vectors")
     p = as_matrix(p, "smooth labels")
-    _, m = _forward(a, p, prob.decoder, prob.cols)
-    diff = a.T @ m - prob.target_grad
-    return float((diff * diff).sum()) + prob.lam * regularizer(p)
+    _, _, e = _residual(a, p, prob)
+    return float((e * e).sum()) + prob.lam * regularizer(p)
 
 
 def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +196,7 @@ def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"smooth labels must be shaped {a.shape[:-1] + (prob.width,)!r}, "
                          f"got {p.shape!r}")
     w = prob.decoder.w
-    sm, m = _forward(a, p, prob.decoder, prob.cols)
-    e = a.swapaxes(-1, -2) @ m - prob.target_grad
+    sm, m, e = _residual(a, p, prob)
     ae = a @ e
     row_dot = (ae * sm).sum(axis=-1, keepdims=True)
     jac = sm * (ae - row_dot)
@@ -215,9 +220,8 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
 
 def _distance(a: np.ndarray, p: np.ndarray, prob: GMProblem) -> tuple[float, float]:
     # plain gradient distance and objective of one restart's (A, P)
-    _, m = _forward(a, p, prob.decoder, prob.cols)
-    diff = a.T @ m - prob.target_grad
-    distance = float(np.sqrt((diff * diff).sum()))
+    _, _, e = _residual(a, p, prob)
+    distance = float(np.sqrt((e * e).sum()))
     return distance, distance * distance + prob.lam * regularizer(p)
 
 

@@ -1,16 +1,18 @@
 """Label-set recovery from a projection-layer update.
 
-Pipeline: infer the contributing sample count S from the numeric rank of the
-update, take the top-S right-singular rows Q (never more than the rows the
-SVD computed), reject most non-labels with shared-basis certificates (see
-`_certify`), screen the labels left undecided with the same LP restricted to
-the largest-norm columns (only when C exceeds that anchor count), then
-decide per-label membership by linear-programming feasibility.  The screen
-and the label decisions are one call each of one simplex kernel, which
-solves all of that stage's LPs together in lockstep, priced by one matrix
-product per chunk of labels, so a label's pivot path can differ from a solve
-of its own on an exact tie, but not its decision.  A label c is kept when
-some vector r in the unit box |r_k| <= 1 satisfies
+Pipeline: rank -> Q -> `screen` -> label LPs.  Infer the contributing sample
+count S from the numeric rank of the update and take the top-S
+right-singular rows Q (never more than the rows the SVD computed).  `screen`
+is the one pre-filter: it rejects most non-labels with shared-basis
+certificates (see `_certify`), then, only when C exceeds its 500 anchors
+(_SCREEN_ANCHORS), solves each label still undecided against the
+largest-norm columns alone.  The label LPs decide its survivors by
+linear-programming feasibility.  The anchor LPs and the label LPs are one
+call each of one simplex kernel, which solves all of that stage's LPs
+together in lockstep, priced by one matrix product per chunk of labels, so a
+label's pivot path can differ from a solve of its own on an exact tie, but
+not its decision.  A label c is kept when some vector r in the unit box
+|r_k| <= 1 satisfies
 
     r . q_c <= -LP_MARGIN      and      r . q_j >= 0  for every j != c,
 
@@ -363,32 +365,27 @@ def lp_feasible(q, c: int) -> bool:
     return lp_separator(q, c) is not None
 
 
-def _largest_columns(q: np.ndarray, count: int) -> np.ndarray:
-    """Ids of the `count` largest-norm columns of q, ties by lower id."""
-    return np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")[:count]
+def _certify(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Reject labels by shared-basis certificates; returns by.
 
-
-def _certify(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reject labels by shared-basis certificates; returns (w, by).
-
-    w holds the s + 1 largest-norm columns of q (s its row count), and basis
-    k is w without w[k].  For every label c outside basis B, lam =
-    max(B^-1 q_c, 0) is feasible for c's LP, so its L1 residual bounds c's
-    cone distance from above; a residual below LP_MARGIN / 2, after an
-    allowance of 2 (s + 1) eps (||q_c||_1 + || |B| lam ||_1) for the rounding
-    of the residual itself, proves c infeasible.  lam needs no accuracy, so
-    an ill-conditioned B can fail to reject, but not reject wrongly.  by[c]
-    is the k of a basis that rejects c, or -1 when none does (always, when
-    C <= s + 1).  A basis found singular, or with a non-finite inverse, is
-    skipped.  The bases run in groups, in order of k, each over the labels
-    no earlier group rejected; a group holds as many bases as keep its
-    (bases, s, labels) arrays within _BATCH_ENTRIES entries, and at least one.
+    w holds s + 1 column ids of q (s its row count; `screen` passes the
+    s + 1 largest-norm columns), and basis k is w without w[k].  For every
+    label c outside basis B, lam = max(B^-1 q_c, 0) is feasible for c's LP,
+    so its L1 residual bounds c's cone distance from above; a residual below
+    LP_MARGIN / 2, after an allowance of 2 (s + 1) eps (||q_c||_1 +
+    || |B| lam ||_1) for the rounding of the residual itself, proves c
+    infeasible.  lam needs no accuracy, so an ill-conditioned B can fail to
+    reject, but not reject wrongly.  by[c] is the k of a basis that rejects
+    c, or -1 when none does (always, when C <= s + 1).  A basis found
+    singular, or with a non-finite inverse, is skipped.  The bases run in
+    groups, in order of k, each over the labels no earlier group rejected; a
+    group holds as many bases as keep its (bases, s, labels) arrays within
+    _BATCH_ENTRIES entries, and at least one.
     """
     s, n_cols = q.shape
-    w = _largest_columns(q, s + 1)
     by = np.full(n_cols, -1, dtype=np.intp)
     if n_cols <= s + 1:
-        return w, by
+        return by
     bases = w[np.nonzero(~np.eye(s + 1, dtype=bool))[1].reshape(s + 1, s)]  # row k: w but w[k]
     bmat = q[:, bases].transpose(1, 0, 2)
     binv, singular = _invert(bmat)
@@ -409,27 +406,32 @@ def _certify(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hit = rejects.any(axis=0)
         by[undecided[hit]] = ks[rejects.argmax(axis=0)[hit]]
         undecided = undecided[~hit]
-    return w, by
+    return by
 
 
-def screen(q, labels=None) -> set[int]:
-    """Sound pre-filter over label columns: the labels (all of them when
-    `labels` is None) the full LP may keep.
+def screen(q) -> np.ndarray:
+    """The attack's one pre-filter: the sorted ids of the labels the full LP
+    may keep.
 
-    Every label's LP is first solved against only the _SCREEN_ANCHORS
-    largest-norm columns other than its own.  Those are a subset of all the
-    other columns, so a screen LP that finishes below the margin proves the
-    full LP infeasible as well, and the label is dropped.  A screen LP that
-    hits the pivot cap or a singular basis keeps its label; the screen never
-    raises.  With C at or below the anchor count the screen LP would be the
-    full LP, so every label passes.
+    Q's columns are ordered once by norm, largest first (ties by lower id).
+    The certificates (`_certify`), with W the first s + 1 columns of that
+    order, reject most non-labels.  Only when C exceeds the _SCREEN_ANCHORS
+    (500) anchors, the first columns of that order, is every label still
+    undecided solved against the anchors other than its own.  Those are a
+    subset of all the other columns, so an anchor LP that finishes below the
+    margin proves the full LP infeasible as well, and the label is dropped.
+    An anchor LP that hits the pivot cap or a singular basis keeps its
+    label; the screen never raises.  With C at or below the anchor count an
+    anchor LP would be the full LP, so the screen returns exactly the labels
+    the certificates leave.
     """
     q = as_matrix(q, "q")
     s, n_cols = q.shape
-    labels = np.arange(n_cols) if labels is None else np.asarray(labels, dtype=np.intp)
+    order = np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")
+    labels = np.flatnonzero(_certify(q, order[:s + 1]) < 0)
     if n_cols <= _SCREEN_ANCHORS:
-        return set(labels.tolist())
-    anchors = _largest_columns(q, _SCREEN_ANCHORS)
+        return labels
+    anchors = order[:_SCREEN_ANCHORS]
     # a label that is not an anchor excludes the appended zero column, whose
     # reduced cost is exactly 0, so it never enters and excluding it is moot
     gens = np.zeros((s, _SCREEN_ANCHORS + 1))
@@ -437,28 +439,25 @@ def screen(q, labels=None) -> set[int]:
     own = np.full(n_cols, _SCREEN_ANCHORS)
     own[anchors] = np.arange(_SCREEN_ANCHORS)
     dist, _, _, failed = _cone_distances(gens, q[:, labels].T, own[labels])
-    rejected = (failed == 0) & (dist < LP_MARGIN)
-    return set(labels[~rejected].tolist())
+    return labels[~((failed == 0) & (dist < LP_MARGIN))]
 
 
 def rlg_attack(delta_w, cfg: RlgConfig = RlgConfig()) -> LabelSetPrediction:
-    """Full pipeline: rank inference, right-singular extraction, the
-    certificates, the screen, and per-label LP feasibility.
+    """Full pipeline: rank -> Q (`extract_q`) -> `screen` -> label LPs.
 
-    A label a certificate (`_certify`) or the screen rejects is infeasible
-    by proof, and is not in `labels`; the screen runs only over the labels
-    no certificate rejected.  The survivors run their full LPs together in
-    lockstep.  Their pricing product is one gemm per chunk, whose last-bit
-    rounding can depend on the chunk's rows and width, so an exact tie may
-    take another pivot path than `lp_feasible` on that label alone; the
-    decision is the same.  A survivor's LP that fails is not decided: the
-    lowest failing survivor's LpSingularBasisError or LpPivotLimitError is
-    raised, as a label-by-label loop would.  A certified label runs no LP
-    and never raises, and neither do the certificates or the screen.
+    A label the screen rejects, by a certificate or by an anchor LP, is
+    infeasible by proof, and is not in `labels`.  The survivors run their
+    full LPs together in lockstep.  Their pricing product is one gemm per
+    chunk, whose last-bit rounding can depend on the chunk's rows and width,
+    so an exact tie may take another pivot path than `lp_feasible` on that
+    label alone; the decision is the same.  A survivor's LP that fails is not
+    decided: the lowest failing survivor's LpSingularBasisError or
+    LpPivotLimitError is raised, as a label-by-label loop would.  A label the
+    screen rejects runs no label LP and never raises, and neither does the
+    screen.
     """
     s, q, rank_estimate = extract_q(delta_w, cfg)
-    _, by = _certify(q)
-    cols = np.array(sorted(screen(q, np.flatnonzero(by < 0))), dtype=np.intp)
+    cols = screen(q)
     feasible, _ = _solve_labels(q, cols)
     return LabelSetPrediction(inferred_s=s, labels=frozenset(cols[feasible].tolist()),
                               rank_estimate=rank_estimate)

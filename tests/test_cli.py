@@ -73,17 +73,40 @@ def test_simulate_single_into_directory_skip_existing(tmp_path, capsys):
     assert os.listdir(out_dir) == [path.name]
     assert read_grd(str(first_grd)).tobytes() == load_case(str(path)).case.delta_w.tobytes()
 
-    # an existing file is kept, and no sidecar is written for a skipped case
+    # an existing file is kept; one that is no case cannot give the sidecar
+    # the command names, so the run fails and writes none
     path.write_text("kept")
     skipped_grd = tmp_path / "skipped.grd"
-    assert main(argv + ["--skip-existing", "--grd-out", str(skipped_grd)]) == 0
-    assert capsys.readouterr().out.split() == [str(path)]
+    assert main(argv + ["--skip-existing", "--grd-out", str(skipped_grd)]) == 2
     assert path.read_text() == "kept"
     assert not skipped_grd.exists()
+    assert main(argv + ["--skip-existing"]) == 0
+    assert capsys.readouterr().out.split() == [str(path)]
+    assert path.read_text() == "kept"
 
     # without --skip-existing the case is written again
     assert main(argv) == 0
     assert load_case(str(path)).case.scenario.seed == 7
+
+
+def test_simulate_skip_existing_writes_the_kept_case_sidecar(tmp_path, capsys):
+    # a kept case still gets its sidecar, read from the kept file: every file
+    # the command names exists on exit 0
+    path, grd = tmp_path / "case.json", tmp_path / "case.grd"
+    other = str(tmp_path / "other.json")
+    assert main(["simulate", "--mode", "batch", "--n", "2", "--d", "6", "--classes", "5",
+                 "--seed", "8", "--out", other]) == 0
+    os.replace(other, path)
+    kept = path.read_bytes()
+    capsys.readouterr()
+    assert main(["simulate", "--mode", "batch", "--n", "2", "--d", "6", "--classes", "5",
+                 "--seed", "9", "--out", str(path), "--grd-out", str(grd),
+                 "--skip-existing"]) == 0
+    assert capsys.readouterr().out.split() == [str(path)]
+    assert path.read_bytes() == kept
+    case = load_case(str(path)).case
+    assert case.scenario.seed == 8
+    assert read_grd(str(grd)).tobytes() == case.delta_w.tobytes()
 
 
 def test_simulate_multistep_sets_every_step_lr(tmp_path):

@@ -171,7 +171,7 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
     assert err.value.pivots == 1
     # every LP needs a pivot; a certified label runs none, so the lowest
     # label no certificate rejects is named
-    first = int(np.flatnonzero(_certify(q)[1] < 0)[0])
+    first = int(np.flatnonzero(_certify_largest(q)[1] < 0)[0])
     assert err.value.label == first and f"label {first} " in str(err.value)
     with pytest.raises(LpPivotLimitError) as err:
         lp_feasible(q, 9)
@@ -197,7 +197,7 @@ def test_singular_basis_names_its_cause(monkeypatch):
     # the certificates invert their bases the same way, so every one is
     # found singular and skipped: no label is certified, and the lowest
     # label is the lowest to reach an LP
-    first = int(np.flatnonzero(_certify(q)[1] < 0)[0])
+    first = int(np.flatnonzero(_certify_largest(q)[1] < 0)[0])
     with pytest.raises(LpSingularBasisError) as err:
         lp_feasible(q, 0)
     assert err.value.pivots == 4
@@ -373,7 +373,7 @@ def test_certificate_rejections_hold_against_highs(captures):
         qs.append((f"wide-{tag}", extract_q(dw, cfg)[1]))
     rejected = 0
     for tag, q in qs:
-        w, by = _certify(q)
+        w, by = _certify_largest(q)
         assert w.size == q.shape[0] + 1, tag
         for c in np.flatnonzero(by >= 0):
             basis = np.delete(w, by[c])
@@ -397,7 +397,7 @@ def test_repeated_labels_and_sign_copies_fall_through_to_the_lps():
         for tag in tags:
             dw = case.delta_w if tag == "clean" else apply_defense(case.delta_w, DefenseSpec(tag))
             _, q, _ = extract_q(dw)
-            assert (_certify(q)[1] < 0).sum() > classes * 3 // 4, (classes, tag)
+            assert (_certify_largest(q)[1] < 0).sum() > classes * 3 // 4, (classes, tag)
             want = _brute_force_labels(q)
             assert case.label_set <= want
             assert rlg_attack(dw).labels == want, (classes, tag)
@@ -409,26 +409,26 @@ def test_repeated_labels_and_sign_copies_fall_through_to_the_lps():
 def test_certificate_degenerate_bases_reject_nothing_wrongly(captures):
     rng = np.random.default_rng(7)
     # C <= s + 1: every column is in every basis but one
-    w, by = _certify(rng.normal(size=(3, 4)))
+    w, by = _certify_largest(rng.normal(size=(3, 4)))
     assert sorted(w.tolist()) == [0, 1, 2, 3] and (by == -1).all()
     # two nonzero columns for s = 3: every basis holds a zero column and is
     # singular, so nothing is rejected, not even the zero columns
     q = np.zeros((3, 9))
     q[:, :2] = rng.normal(size=(3, 2))
-    assert (_certify(q)[1] == -1).all()
+    assert (_certify_largest(q)[1] == -1).all()
     # columns 0 and 1 span (0, 0.5) only with multipliers 5e11, which the
     # LP's pivot tolerance cannot see, so it keeps label 3; the rounding
     # allowance keeps the certificate from rejecting it on a residual of 0
     q = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 1e-12, -1.0, 0.5]])
-    assert (_certify(q)[1] == -1).all() and 3 in _brute_force_labels(q)
+    assert (_certify_largest(q)[1] == -1).all() and 3 in _brute_force_labels(q)
     # the largest column duplicated, and zero columns outside w: every basis
     # with both copies is singular to rounding, and a zero column is rejected
     _, _, _, q = captures[0]
-    top = rlg._largest_columns(q, q.shape[1])
+    top = _norm_order(q)
     dup = q.copy()
     dup[:, top[-1]] = q[:, top[0]]
     for q in (dup, np.hstack([q, np.zeros((q.shape[0], 5))])):
-        w, by = _certify(q)
+        w, by = _certify_largest(q)
         rejected = set(np.flatnonzero(by >= 0).tolist())
         assert rejected and not rejected & _brute_force_labels(q)
         for c in rejected:
@@ -438,22 +438,35 @@ def test_certificate_degenerate_bases_reject_nothing_wrongly(captures):
 
 def test_certificates_leave_few_non_labels_to_the_screen(monkeypatch):
     # on clean batch captures the certificates decide all but a handful of
-    # non-labels, so the attack's 500-anchor screen runs over almost nothing
-    screened = []
-    monkeypatch.setattr(rlg, "screen", lambda q, labels: screened.append(labels) or set(labels))
+    # non-labels, so the screen's 500-anchor LPs run over almost nothing
+    left = []
+    certify = rlg._certify
+
+    def recording(q, w):
+        by = certify(q, w)
+        left.append(np.flatnonzero(by < 0))
+        return by
+
+    monkeypatch.setattr(rlg, "_certify", recording)
     for latent in LATENTS:
         case = simulate_case(Scenario(d=128, classes=1000, mode="batch", n=16,
                                       latent=latent, seed=8400))
         assert rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s)).labels == case.label_set
-        undecided = set(screened.pop().tolist())
+        undecided = set(left.pop().tolist())
+        assert not left, latent
         assert case.label_set <= undecided, latent
         assert len(undecided - case.label_set) <= 3, latent
 
 
-def test_screen_small_class_count_passes_everything():
+def test_screen_small_class_count_passes_everything(monkeypatch):
+    # at C <= 500 the screen runs no anchor LP: it returns the labels the
+    # certificates leave, and every label when they reject none
     case = simulate_case(Scenario(d=32, classes=40, mode="batch", n=4, seed=7))
     _, q, _ = extract_q(case.delta_w, RlgConfig(assume_s=4))
-    assert screen(q) == set(range(40))
+    monkeypatch.setattr(rlg, "_cone_distances", None)
+    assert np.array_equal(screen(q), np.flatnonzero(_certify_largest(q)[1] < 0))
+    monkeypatch.setattr(rlg, "_certify", lambda q, w: np.full(q.shape[1], -1))
+    assert np.array_equal(screen(q), np.arange(40))
 
 
 def _wide_capture(seed, n=4, latent="tanh"):
@@ -461,6 +474,17 @@ def _wide_capture(seed, n=4, latent="tanh"):
     case = simulate_case(Scenario(d=32, classes=600, mode="batch", n=n,
                                   latent=latent, seed=seed))
     return case, RlgConfig(assume_s=case.true_s)
+
+
+def _norm_order(q):
+    # q's column ids by norm, largest first, ties by lower id: the screen's order
+    return np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")
+
+
+def _certify_largest(q):
+    # the certificates as the screen runs them, W the s + 1 largest-norm columns
+    w = _norm_order(q)[:q.shape[0] + 1]
+    return w, _certify(q, w)
 
 
 def _brute_force_labels(q):
@@ -472,7 +496,7 @@ def test_screen_soundness_on_oversized_vocab():
     # everything filtered out must be LP-infeasible
     case, cfg = _wide_capture(8)
     _, q, _ = extract_q(case.delta_w, cfg)
-    survivors = screen(q)
+    survivors = set(screen(q).tolist())
     rejected = set(range(600)) - survivors
     assert rejected, "filter should reject something at this size"
     assert case.label_set <= survivors
@@ -494,10 +518,12 @@ def test_screen_equivalence_moderate_size():
 
 def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatch):
     # the screen's decision for label c is the serial solver's over the
-    # anchors other than c (anchors or not, the zero column never enters)
+    # anchors other than c (anchors or not, the zero column never enters); a
+    # label a certificate rejects is below the margin there too, since W is
+    # among the anchors
     monkeypatch.setattr(rlg, "_SCREEN_ANCHORS", 60)
     for tag, _, _, q in captures:
-        anchors = np.argsort(-np.sqrt((q * q).sum(axis=0)), kind="stable")[:60]
+        anchors = _norm_order(q)[:60]
         kept = screen(q)
         assert len(kept) < q.shape[1], tag
         for c in range(q.shape[1]):
@@ -506,10 +532,33 @@ def test_screen_solves_each_label_against_the_other_anchors(captures, monkeypatc
             assert (c in kept) == (d >= LP_MARGIN), (tag, c)
 
 
+def test_screen_is_what_the_label_lps_receive(monkeypatch):
+    # the attack hands the screen's sorted array to the label LPs unchanged,
+    # and at C <= 500 that array is exactly what the certificates leave
+    passed = []
+    solve = rlg._solve_labels
+    monkeypatch.setattr(rlg, "_solve_labels",
+                        lambda q, labels: passed.append(labels) or solve(q, labels))
+    for classes in (100, 600, 2000):
+        case = simulate_case(Scenario(d=64, classes=classes, mode="batch", n=10,
+                                      latent="tanh", seed=9300))
+        cfg = RlgConfig(assume_s=case.true_s)
+        for tag, dw in (("clean", case.delta_w),
+                        ("drop90", apply_defense(case.delta_w, DefenseSpec("drop", 0.9))),
+                        ("sign", apply_defense(case.delta_w, DefenseSpec("sign")))):
+            _, q, _ = extract_q(dw, cfg)
+            rlg_attack(dw, cfg)
+            kept = screen(q)
+            assert np.array_equal(passed.pop(), kept) and not passed, (classes, tag)
+            assert kept.dtype == np.intp and (np.diff(kept) > 0).all(), (classes, tag)
+            if classes <= rlg._SCREEN_ANCHORS:
+                assert np.array_equal(kept, np.flatnonzero(_certify_largest(q)[1] < 0)), tag
+
+
 def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
     case, cfg = _wide_capture(8)
     _, q, _ = extract_q(case.delta_w, cfg)
-    rejected = set(range(600)) - screen(q)
+    rejected = set(range(600)) - set(screen(q).tolist())
 
     def singular(_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -518,7 +567,7 @@ def test_screen_keeps_labels_whose_lp_fails(monkeypatch):
     # those labels without raising, and the full LP names the failure
     monkeypatch.setattr(np.linalg, "inv", singular)
     monkeypatch.setattr(rlg, "_REFACTOR_EVERY", 4)
-    assert rejected & screen(q)
+    assert rejected & set(screen(q).tolist())
     with pytest.raises(LpSingularBasisError) as err:
         rlg_attack(case.delta_w, cfg)
     assert err.value.pivots == 4

@@ -4,7 +4,11 @@ Every stored matrix has one payload: little-endian float64 values in
 row-major order, with the shape declared beside it.  A load checks the byte
 count against that shape and passes the matrix through `as_matrix`, so a
 write/read cycle reproduces every entry bit for bit and a file holding NaN,
-Inf or an empty dimension is refused with its path.
+Inf or an empty dimension is refused with its path.  A case loaded with a
+replacement update (`load_case(path, update)`) is checked the same way in
+everything but its stored update, which is never decoded: that must still be
+a string with the length of the base64 text of a d x C payload, and the
+replacement must have the declared shape.
 
 CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
 base64 text of its payload, ground truth (label list plus the ordered
@@ -91,7 +95,9 @@ def _document(path: str, kind: str, version: int):
     ValueError the body raises all come out as one ValueError naming the
     file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # no newline translation: raw CR and LF are whitespace outside JSON
+        # strings and invalid inside them, so translating them changes nothing
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             doc = json.load(fh)
         got = doc.get("version")
         if got != version:
@@ -123,6 +129,16 @@ def _from_payload(raw, shape: tuple[int, int], name: str) -> np.ndarray:
 
 def _to_text(a: np.ndarray) -> str:
     return base64.b64encode(_payload(a)).decode("ascii")
+
+
+def _check_text(text, shape: tuple[int, int], name: str) -> None:
+    """Check that `text` has the length of the base64 text of a `shape`
+    payload, without decoding it."""
+    if not isinstance(text, str):
+        raise TypeError(f"{name} must be base64 text, got {type(text).__name__}")
+    need = 4 * -(-8 * math.prod(shape) // 3)
+    if len(text) != need:
+        raise ValueError(f"{name} text holds {len(text)} characters, shape {shape} needs {need}")
 
 
 def _from_text(text: str, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -163,9 +179,18 @@ def save_case(path: str, case: GradientCase,
     write_json_atomic(path, doc)
 
 
-def load_case(path: str) -> CaseFile:
+def load_case(path: str, update: Optional[np.ndarray] = None) -> CaseFile:
+    """The case stored at `path`.  Given `update` (a checked matrix, such as
+    `read_grd` returns), the case carries that matrix in place of its stored
+    update: the stored text is checked for length but never decoded, and
+    `update` must have the declared shape (d, C)."""
     with _document(path, "case", CASE_VERSION) as doc:
-        delta_w = _from_text(doc["delta_w"], (int(doc["d"]), int(doc["C"])), "delta_w")
+        shape = (int(doc["d"]), int(doc["C"]))
+        if update is None:
+            delta_w = _from_text(doc["delta_w"], shape, "delta_w")
+        else:
+            _check_text(doc["delta_w"], shape, "delta_w")
+            delta_w = update
         scenario = _scenario_from_dict(doc["scenario"])
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
         vocab = None
@@ -176,7 +201,11 @@ def load_case(path: str) -> CaseFile:
         if doc.get("defense_applied") is not None:
             spec = doc["defense_applied"]
             defense = DefenseSpec(kind=str(spec["kind"]), rate=float(spec.get("rate", 0.0)))
-        return CaseFile(case=case, defense_applied=defense)
+    # raised outside the document block: the replacement, not the file, is at fault
+    if delta_w.shape != shape:
+        raise ValueError(f"--delta-grd update shape {delta_w.shape} does not "
+                         f"match case update {shape}")
+    return CaseFile(case=case, defense_applied=defense)
 
 
 def write_grd(path: str, delta_w) -> None:

@@ -162,11 +162,10 @@ def _attack_one(path: str, args) -> dict:
     start = time.perf_counter()
     entry: dict = {"case_id": path, "attack": args.attack}
     try:
-        case = load_case(path).case
-        delta_w = read_grd(args.delta_grd) if args.delta_grd else case.delta_w
-        if delta_w.shape != case.delta_w.shape:
-            raise ValueError(f"--delta-grd update shape {delta_w.shape} does not "
-                             f"match case update {case.delta_w.shape}")
+        # the sidecar replaces the stored update, which is then never decoded
+        update = read_grd(args.delta_grd) if args.delta_grd else None
+        case = load_case(path, update).case
+        delta_w = case.delta_w
         if args.attack == "rlg":
             cfg = RlgConfig(rank_tol_rel=args.rank_tol, assume_s=_chosen_s(args, case))
             pred = rlg_attack(delta_w, cfg)

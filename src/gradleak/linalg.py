@@ -95,7 +95,9 @@ def svd(m) -> SvdResult:
     largest are numerically null: their singular values are the computed
     residual norms, but their directions are dropped, so the factors hold
     only the `rank` live directions.  Leaving the null part out moves the
-    reconstruction far less than the 1e-8 gate.
+    reconstruction far less than the 1e-8 gate.  No pair holding a null
+    column is rotated, so each sweep screens its pairs with the Gram matrix
+    of the live columns alone (k x k for k live columns, not n x n).
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -124,21 +126,23 @@ def svd(m) -> SvdResult:
         screen_tol = 0.5 * JACOBI_ROTATION_TOL
         null_cut = default_rank_tol(rows, cols)
         for sweep in range(JACOBI_SWEEP_CAP):
-            gram = work.T @ work
-            norms = np.sqrt(np.diag(gram))
-            scale = np.outer(norms, norms)
+            # numerically null columns (norm at or below the dimension-scaled
+            # epsilon cutoff) carry no signal; no pair holding one is rotated,
+            # so the Gram is built over the live columns alone
+            norms = np.sqrt(np.einsum("ij,ij->j", work, work))
+            live_cols = np.flatnonzero(norms > null_cut * norms.max())
+            sub = np.take(work, live_cols, axis=1)
+            gram = sub.T @ sub
+            scale = np.outer(norms[live_cols], norms[live_cols])
             rel = np.divide(np.abs(gram), scale,
                             out=np.zeros_like(gram), where=scale > 0.0)
             np.fill_diagonal(rel, 0.0)
-            # numerically null columns (norm below the dimension-scaled
-            # epsilon cutoff) carry no signal; they are excluded from the
-            # sweeps and their directions are not returned
-            dead = norms <= null_cut * norms.max()
-            rel[dead, :] = 0.0
-            rel[:, dead] = 0.0
-            hotmat = rel > screen_tol
-            if not hotmat.any():
+            hot = rel > screen_tol
+            if not hot.any():
                 break
+            # hot pairs in column ids, so the schedule below runs unchanged
+            hotmat = np.zeros((n, n), dtype=bool)
+            hotmat[np.ix_(live_cols, live_cols)] = hot
             for p_idx, q_idx in rounds:
                 sel = hotmat[p_idx, q_idx]
                 if not sel.any():

@@ -64,6 +64,20 @@ def test_case_rejects_bad_version_and_shape(tmp_path):
         load_case(path)
 
 
+def test_crlf_case_loads_to_the_same_matrix(tmp_path):
+    # CR and LF are whitespace between JSON tokens, so line endings never
+    # reach the base64 text
+    case = edge_case()
+    path = tmp_path / "case.json"
+    save_case(str(path), case)
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") > 10
+    loaded = load_case(str(crlf)).case
+    assert loaded.delta_w.tobytes() == case.delta_w.tobytes()
+    assert loaded == dataclasses.replace(case, delta_w=loaded.delta_w)
+
+
 def test_grd_round_trip_and_layout(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 5))

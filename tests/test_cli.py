@@ -364,6 +364,71 @@ def test_delta_grd_shape_must_match_the_case(tmp_path):
         assert "predicted_labels" not in entry
 
 
+def test_delta_grd_attack_decodes_nothing(tmp_path, monkeypatch):
+    # the sidecar replaces the stored update, whose text is then never decoded
+    case_path = str(tmp_path / "case.json")
+    grd_path = str(tmp_path / "case.grd")
+    report = str(tmp_path / "rep.json")
+    main(["simulate", "--mode", "batch", "--n", "3", "--d", "8", "--classes", "12",
+          "--seed", "4", "--out", case_path, "--grd-out", grd_path])
+
+    def entry(argv):
+        assert main(argv + ["--report", report]) == 0
+        got = load_report(report)["per_case"][0]
+        got.pop("wall_time_ms")
+        return got
+
+    plain = {attack: entry(["attack", attack, case_path]) for attack in ("rlg", "mincol")}
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("the stored update was decoded")
+
+    monkeypatch.setattr(gradleak.caseio.base64, "b64decode", no_decode)
+    for attack, want in plain.items():
+        assert entry(["attack", attack, case_path, "--delta-grd", grd_path]) == want
+    assert main(["attack", "rlg", case_path, "--report", report]) == 1
+    assert "the stored update was decoded" in load_report(report)["per_case"][0]["error"]
+
+
+def test_delta_grd_still_checks_the_stored_update_text(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    grd_path = str(tmp_path / "case.grd")
+    report = str(tmp_path / "rep.json")
+    main(["simulate", "--mode", "batch", "--n", "2", "--d", "8", "--classes", "6",
+          "--seed", "3", "--out", case_path, "--grd-out", grd_path])
+    doc = json.loads(Path(case_path).read_text())
+    text = doc["delta_w"]
+    assert len(text) == 512  # 8 x 6 x 8 bytes of base64
+
+    def broken(name, edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        out = str(tmp_path / f"{name}.json")
+        Path(out).write_text(json.dumps(bad))
+        return out
+
+    for name, edit, cause in (
+            ("missing", lambda d: d.pop("delta_w"), "missing key 'delta_w'"),
+            ("number", lambda d: d.update(delta_w=5),
+             "wrongly typed value (delta_w must be base64 text, got int)"),
+            ("list", lambda d: d.update(delta_w=[text]),
+             "wrongly typed value (delta_w must be base64 text, got list)"),
+            ("short", lambda d: d.update(delta_w=text[:-4]),
+             "delta_w text holds 508 characters, shape (8, 6) needs 512"),
+            ("taller", lambda d: d.update(d=9),
+             "delta_w text holds 512 characters, shape (9, 6) needs 576")):
+        bad = broken(name, edit)
+        assert main(["attack", "rlg", bad, "--delta-grd", grd_path, "--report", report]) == 1
+        assert load_report(report)["per_case"][0]["error"] == f"ValueError: {bad}: {cause}"
+
+    # without the sidecar the stored update is decoded and checked in full
+    nan = broken("nan", lambda d: d.update(
+        delta_w=base64.b64encode(np.full(48, np.nan, dtype="<f8").tobytes()).decode()))
+    assert main(["attack", "rlg", nan, "--report", report]) == 1
+    assert (load_report(report)["per_case"][0]["error"]
+            == f"ValueError: {nan}: delta_w contains NaN or Inf entries")
+
+
 def test_gm_subcommand_end_to_end(tmp_path):
     case_path = str(tmp_path / "seq.json")
     dec_path = str(tmp_path / "dec.json")

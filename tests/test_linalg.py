@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gradleak import linalg
+from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.linalg import (SvdConvergenceError, _round_robin, as_matrix,
                              default_rank_tol, numeric_rank, svd)
+from gradleak.simulator import Scenario, simulate_case
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -188,3 +190,100 @@ def test_round_robin_matches_list_schedule():
         for (p, q), (wp, wq) in zip(got, want):
             assert p.dtype == q.dtype == np.intp
             assert np.array_equal(p, wp) and np.array_equal(q, wq), n
+
+
+def _full_gram_svd(m):
+    """`svd` as it was with the full n x n Gram per sweep, dead rows and
+    columns zeroed: the reference that the live-column sweeps must match bit
+    for bit.  Returns the result and the number of sweeps that rotated."""
+    a = as_matrix(m)
+    rows, cols = a.shape
+    transposed = rows < cols
+    work = np.array(a.T if transposed else a)
+    n = work.shape[1]
+    _, pre = np.linalg.eigh(work.T @ work)
+    pre = np.ascontiguousarray(pre[:, ::-1])
+    work, v = work @ pre, pre.copy()
+    null_cut = default_rank_tol(rows, cols)
+    for sweep in range(linalg.JACOBI_SWEEP_CAP):
+        gram = work.T @ work
+        norms = np.sqrt(np.diag(gram))
+        scale = np.outer(norms, norms)
+        rel = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0.0)
+        np.fill_diagonal(rel, 0.0)
+        dead = norms <= null_cut * norms.max()
+        rel[dead, :] = 0.0
+        rel[:, dead] = 0.0
+        hotmat = rel > 0.5 * linalg.JACOBI_ROTATION_TOL
+        if not hotmat.any():
+            break
+        for p_idx, q_idx in _round_robin(n):
+            sel = hotmat[p_idx, q_idx]
+            if not sel.any():
+                continue
+            pj, qj = p_idx[sel], q_idx[sel]
+            up, uq = work[:, pj], work[:, qj]
+            alpha = np.einsum("ij,ij->j", up, up)
+            beta = np.einsum("ij,ij->j", uq, uq)
+            gamma = np.einsum("ij,ij->j", up, uq)
+            turn = gamma != 0.0
+            if not turn.any():
+                continue
+            if not turn.all():
+                pj, qj, up, uq = pj[turn], qj[turn], up[:, turn], uq[:, turn]
+                alpha, beta, gamma = alpha[turn], beta[turn], gamma[turn]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            work[:, pj], work[:, qj] = c * up - s * uq, s * up + c * uq
+            vp, vq = v[:, pj], v[:, qj]
+            v[:, pj], v[:, qj] = c * vp - s * vq, s * vp + c * vq
+    else:
+        raise SvdConvergenceError(linalg.JACOBI_SWEEP_CAP)
+    sig = np.sqrt(np.einsum("ij,ij->j", work, work))
+    order = np.argsort(-sig, kind="stable")
+    sig = sig[order]
+    k = numeric_rank(sig, null_cut)
+    u, v = work[:, order[:k]] / sig[:k], v[:, order[:k]]
+    if transposed:
+        u, v = v, u
+    left, right = u.copy(), v.T.copy()
+    first = (right != 0.0).argmax(axis=1)
+    flip = right[np.arange(right.shape[0]), first] < 0.0
+    right[flip] *= -1.0
+    left[:, flip] *= -1.0
+    return linalg.SvdResult(left=left, singular=sig, right=right, rank=k), sweep
+
+
+def _bit_identity_inputs():
+    rng = np.random.default_rng(5)
+    yield pytest.param(rng.normal(size=(96, 6)) @ rng.normal(size=(6, 400)), False, id="rank6")
+    # 64x100 drop90 copies (and a sign copy) whose first sweep rotates with
+    # some columns dead: the hot pairs must map back to the same rounds
+    for mode, n, k, latent, seed in (("batch", 10, 1, "tanh", 8102),
+                                     ("multistep", 2, 2, "gauss", 8104)):
+        dw = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
+                                    lrs=(0.1,) * k if mode == "multistep" else None,
+                                    latent=latent, seed=seed)).delta_w
+        drop90 = apply_defense(dw, DefenseSpec("drop", 0.9))
+        yield pytest.param(drop90, True, id=f"{mode}-drop90")
+        if mode == "batch":
+            yield pytest.param(apply_defense(dw, DefenseSpec("sign")), True, id=f"{mode}-sign")
+            # a tall matrix with exact-zero and duplicated columns that still rotates
+            tall = drop90.T.copy()
+            tall[:, [3, 17]] = 0.0
+            tall[:, [5, 9, 20]] = tall[:, [4, 4, 11]]
+            yield pytest.param(tall, True, id="zero-dup")
+
+
+@pytest.mark.parametrize("m, rotates", list(_bit_identity_inputs()))
+def test_live_column_sweeps_match_the_full_gram_sweeps_bit_for_bit(m, rotates):
+    got = svd(m)
+    want, rotated = _full_gram_svd(m)
+    if rotates:
+        assert rotated > 0
+    assert got.rank == want.rank
+    for name in ("left", "singular", "right"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name

@@ -19,8 +19,8 @@ from .gm import gm_gradients, gm_objective, make_problem, reconstruct
 from .linalg import svd
 from .metrics import length_error, set_score
 from .rlg import RlgConfig, rlg_attack
-from .simulator import (LATENT_KINDS, Scenario, ToyDecoder, projection_grad,
-                        sample_latents, simulate_case)
+from .simulator import (LATENT_KINDS, Scenario, ToyDecoder, has_sign_structure,
+                        projection_grad, sample_latents, simulate_case)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ def sign_structure() -> CriterionResult:
         h = sample_latents(rng, count, d, kind)
         y = rng.integers(0, classes, size=count)
         _, g = projection_grad(h, y, layer)
-        neg = g < 0.0
-        ok = ok and bool((neg.sum(axis=1) == 1).all())
-        ok = ok and bool(neg[np.arange(count), y].all())
+        ok = ok and has_sign_structure(g, y)
         checked += count
     return CriterionResult("criterion-1 sign structure", ok,
                            {"rows_checked": checked, "violations": 0 if ok else "yes"})

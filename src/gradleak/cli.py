@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -27,8 +28,9 @@ from .caseio import (_atomic_write_bytes, aggregate_report, load_case, load_deco
 from .defense import DefenseSpec, apply_defense
 from .gm import GMProblem, reconstruct
 from .metrics import length_error, set_score
-from .rlg import RlgConfig, extract_q, rlg_attack
-from .simulator import DEFAULT_STEP_LR, GradientCase, Scenario, initial_state, simulate_case
+from .linalg import SvdConvergenceError
+from .rlg import LpPivotLimitError, LpSingularBasisError, RlgConfig, extract_q, rlg_attack
+from .simulator import GradientCase, Scenario, initial_state, simulate_case
 
 
 def _default_seed() -> int:
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--classes", type=int, required=True)
     sim.add_argument("--latent", choices=["relu", "tanh", "gauss"], default="gauss")
     sim.add_argument("--lr", type=float, default=None,
-                     help="per-step learning rate (multistep only, default 0.1)")
+                     help="per-step learning rate (multistep only; omitted, the scenario's default)")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", required=True, help="case file path (directory when --count > 1)")
     sim.add_argument("--count", type=int, default=1, help="cases to write, seeds seed..seed+count-1")
@@ -119,12 +121,11 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"{option} only applies to a single case")
     if args.lr is not None and args.mode != "multistep":
         raise ValueError(f"--lr sets the multistep learning rate; {args.mode} does not read it")
-    lr = DEFAULT_STEP_LR if args.lr is None else args.lr
 
     def scenario_for(s):
         return Scenario(d=args.d, classes=args.classes, mode=args.mode,
                         n=args.n, k=args.k,
-                        lrs=(lr,) * args.k if args.mode == "multistep" else None,
+                        lrs=(args.lr,) * args.k if args.lr is not None else None,
                         latent=args.latent, seed=s)
 
     # one case goes to --out itself unless that is a directory
@@ -252,10 +253,8 @@ def _cmd_defend(args) -> int:
         raise ValueError(f"{args.case} already has a defense applied ({recorded.kind}, "
                          f"rate {recorded.rate}); defend the undefended case instead")
     defended = apply_defense(bundle.case.delta_w, spec)
-    new_case = GradientCase(scenario=bundle.case.scenario, delta_w=defended,
-                            true_labels=bundle.case.true_labels, vocab=bundle.case.vocab)
     out = args.out or args.case
-    save_case(out, new_case, defense_applied=spec)
+    save_case(out, dataclasses.replace(bundle.case, delta_w=defended), defense_applied=spec)
     print(out)
     return 0
 
@@ -313,9 +312,8 @@ def _cmd_eval(args) -> int:
     merged: list[dict] = []
     for path in args.reports:
         doc = load_report(path)
-        agg = doc["aggregate"]
         attack = doc.get("config", {}).get("attack", "?")
-        rows.append({"report": path, "attack": attack, **agg})
+        rows.append({"report": path, "attack": attack, **aggregate_report(doc["per_case"])})
         merged.extend(doc["per_case"])
     rows.append({"report": "ALL", "attack": "-", **aggregate_report(merged)})
     if args.format == "json":
@@ -356,6 +354,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (LpPivotLimitError, LpSingularBasisError, SvdConvergenceError) as exc:
+        # a solver failure on valid input, as `attack` records one for a case
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

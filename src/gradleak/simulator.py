@@ -40,8 +40,10 @@ class Scenario:
 
     `n` is the number of samples per step (or the sequence length), `k` the
     number of aggregated SGD steps (multistep only), `lrs` the per-step
-    learning rates.  A fixed `labels` tuple of length n*k overrides uniform
-    label sampling.
+    learning rates (multistep only; omitted, they resolve to
+    DEFAULT_STEP_LR for each of the k steps, so `lrs` of a multistep
+    scenario is never None).  A fixed `labels` tuple of length n*k overrides
+    uniform label sampling.
     """
 
     d: int
@@ -69,6 +71,8 @@ class Scenario:
             raise ValueError("single mode requires n = 1 and k = 1")
         if self.mode in ("batch", "sequence") and self.k != 1:
             raise ValueError(f"{self.mode} mode requires k = 1")
+        if self.lrs is None and self.mode == "multistep":
+            object.__setattr__(self, "lrs", (DEFAULT_STEP_LR,) * self.k)
         if self.lrs is not None:
             if self.mode != "multistep":
                 raise ValueError("lrs only applies to multistep mode")
@@ -90,11 +94,6 @@ class Scenario:
     @property
     def total_labels(self) -> int:
         return self.n * self.k
-
-    def step_lrs(self) -> tuple[float, ...]:
-        if self.mode != "multistep":
-            return ()
-        return self.lrs if self.lrs is not None else (DEFAULT_STEP_LR,) * self.k
 
 
 @dataclass(frozen=True)
@@ -211,12 +210,11 @@ def projection_grad(h, labels, layer: ToyDecoder) -> tuple[np.ndarray, np.ndarra
     return delta_w, g
 
 
-def _check_sign_structure(g: np.ndarray, y: np.ndarray) -> None:
-    # generation-time invariant: each logit-gradient row is negative exactly
-    # at its true label
+def has_sign_structure(g: np.ndarray, y) -> bool:
+    """Whether each row i of the logit gradients `g` is negative exactly at
+    its label y[i]: the structural fact the label attacks rest on."""
     neg = g < 0.0
-    if not ((neg.sum(axis=1) == 1).all() and neg[np.arange(g.shape[0]), y].all()):
-        raise RuntimeError("generated logit gradients violate the single-negative sign structure")
+    return bool((neg.sum(axis=1) == 1).all() and neg[np.arange(g.shape[0]), y].all())
 
 
 def _stream_head(sc: Scenario) -> tuple[np.random.Generator, ToyDecoder]:
@@ -241,7 +239,6 @@ def simulate_case(sc: Scenario) -> GradientCase:
     the single product H^T G of the stacked per-step blocks.
     """
     rng, layer = _stream_head(sc)
-    lrs = sc.step_lrs()
 
     h_blocks = []
     g_blocks = []
@@ -253,11 +250,13 @@ def simulate_case(sc: Scenario) -> GradientCase:
         else:
             y = rng.integers(0, sc.classes, size=sc.n)
         step_dw, g = projection_grad(h, y, layer)
-        _check_sign_structure(g, y)
+        if not has_sign_structure(g, y):  # generation-time invariant
+            raise RuntimeError("generated logit gradients violate the "
+                               "single-negative sign structure")
         hs = h / sc.n
         if sc.mode == "multistep":
-            layer = ToyDecoder(w=layer.w - lrs[step] * step_dw, b=layer.b)
-            hs = lrs[step] * hs
+            layer = ToyDecoder(w=layer.w - sc.lrs[step] * step_dw, b=layer.b)
+            hs = sc.lrs[step] * hs
         h_blocks.append(hs)
         g_blocks.append(g)
         labels_out.extend(int(v) for v in y)

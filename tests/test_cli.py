@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradleak.cli
+import gradleak.linalg
 import gradleak.rlg
 from gradleak import bench
 from gradleak.caseio import (load_case, load_decoder, load_report, read_grd, save_case,
@@ -16,7 +18,7 @@ from gradleak.cli import main
 from gradleak.gm import ToyDecoder, decoder_gradient
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
 from gradleak.rlg import RlgConfig, rlg_attack
-from gradleak.simulator import GradientCase, Scenario
+from gradleak.simulator import GradientCase, Scenario, simulate_case
 
 
 def run(argv, capsys=None):
@@ -114,6 +116,19 @@ def test_simulate_multistep_sets_every_step_lr(tmp_path):
     assert main(["simulate", "--mode", "multistep", "--n", "2", "--k", "3", "--d", "8",
                  "--classes", "6", "--lr", "0.3", "--seed", "4", "--out", case_path]) == 0
     assert load_case(case_path).case.scenario.lrs == (0.3,) * 3
+
+
+def test_simulate_multistep_default_lr_matches_the_library(tmp_path):
+    # neither side names a learning rate: both resolve it in `Scenario`
+    case_path = str(tmp_path / "case.json")
+    assert main(["simulate", "--mode", "multistep", "--n", "2", "--k", "3", "--d", "8",
+                 "--classes", "6", "--seed", "4", "--out", case_path]) == 0
+    library = simulate_case(Scenario(d=8, classes=6, mode="multistep", n=2, k=3, seed=4))
+    assert load_case(case_path).case.scenario == library.scenario
+    lib_path = str(tmp_path / "library.json")
+    save_case(lib_path, library)
+    # the whole file, its `scenario` block included, is the same bytes
+    assert Path(case_path).read_bytes() == Path(lib_path).read_bytes()
 
 
 def test_simulate_refuses_options_it_would_ignore(tmp_path, capsys):
@@ -288,14 +303,18 @@ def test_defend_rewrites_case(tmp_path):
     out_path = str(tmp_path / "defended.json")
     main(["simulate", "--mode", "batch", "--n", "3", "--d", "8",
           "--classes", "6", "--seed", "9", "--out", case_path])
-    original = load_case(case_path).case
+    original = dataclasses.replace(load_case(case_path).case,
+                                   vocab={c: f"tok{c}" for c in range(6)})
+    save_case(case_path, original)
     assert main(["defend", "drop", case_path, "--rate", "0.5",
                  "--out", out_path]) == 0
     defended = load_case(out_path)
     assert defended.defense_applied.kind == "drop"
     assert defended.defense_applied.rate == 0.5
     assert int((defended.case.delta_w == 0.0).sum()) >= 24
-    assert defended.case.true_labels == original.true_labels
+    # every case field but the update is carried over, vocab included
+    assert all(getattr(defended.case, f.name) == getattr(original, f.name)
+               for f in dataclasses.fields(GradientCase) if f.name != "delta_w")
 
     # in-place sign defense
     assert main(["defend", "sign", case_path]) == 0
@@ -509,6 +528,34 @@ def test_gm_bow_inferred_s_runs_one_svd(tmp_path, monkeypatch):
     assert doc["config"]["bow"] == sorted(set(truth))
 
 
+def test_gm_solver_failures_exit_1_without_a_report(tmp_path, monkeypatch, capsys):
+    case_path = str(tmp_path / "seq.json")
+    dec_path = str(tmp_path / "dec.json")
+    report = str(tmp_path / "gm.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6",
+          "--classes", "5", "--seed", "21", "--out", case_path,
+          "--decoder-out", dec_path])
+    head = ["gm", case_path, "--decoder", dec_path, "--restarts", "1", "--seed", "0",
+            "--report", report]
+    capsys.readouterr()
+
+    def singular(*args, **kwargs):
+        raise gradleak.rlg.LpSingularBasisError(7, 3)
+
+    for extra, patch, cause in (
+            (["--bow"], (gradleak.rlg, "DEFAULT_MAX_PIVOTS", 0),
+             "error: LpPivotLimitError: LP feasibility solve for label"),
+            (["--bow"], (gradleak.cli, "rlg_attack", singular),
+             "error: LpSingularBasisError: LP basis matrix for label 3 singular"),
+            ([], (gradleak.linalg, "JACOBI_SWEEP_CAP", 0),
+             "error: SvdConvergenceError: one-sided Jacobi SVD failed to converge")):
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert main(head + extra) == 1
+        assert capsys.readouterr().err.startswith(cause)
+        assert not os.path.exists(report)
+
+
 def test_gm_s_sets_s_used(tmp_path):
     case_path = str(tmp_path / "seq.json")
     dec_path = str(tmp_path / "dec.json")
@@ -542,6 +589,18 @@ def test_eval_merges_reports(tmp_path, capsys):
     assert len(rows) == 3
     assert rows[-1]["report"] == "ALL"
     assert rows[-1]["cases"] == 2
+
+    # each row is recomputed from its report's entries, as the ALL row is,
+    # never copied from the stored aggregate
+    doc = json.loads(Path(r1).read_text())
+    fresh = dict(doc["aggregate"])
+    doc["aggregate"].update(cases=99, em_rate=0.123)
+    Path(r1).write_text(json.dumps(doc))
+    assert main(["eval", "--reports", r1, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0] == {"report": r1, "attack": "idlg", **fresh}
+    assert rows[0]["cases"] == rows[1]["cases"] == 1
+    assert rows[0]["em_rate"] == 1.0
 
     assert main(["eval", "--reports", r1, r2, "--format", "csv"]) == 0
     text = capsys.readouterr().out

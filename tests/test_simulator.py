@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
-from gradleak.simulator import (GradientCase, Scenario, ToyDecoder, initial_state,
-                                projection_grad, sample_latents, simulate_case)
+from gradleak.simulator import (DEFAULT_STEP_LR, GradientCase, Scenario, ToyDecoder,
+                                has_sign_structure, initial_state, projection_grad,
+                                sample_latents, simulate_case)
 
 
 def naive_softmax(z):
@@ -124,6 +125,30 @@ def test_scenario_validation():
         Scenario(d=4, classes=5, latent="swish")
 
 
+def test_multistep_lrs_default_is_resolved_by_the_scenario():
+    # an omitted rate is the default rate, spelled out on the scenario itself
+    omitted = Scenario(d=4, classes=5, mode="multistep", n=2, k=3, seed=1)
+    assert omitted.lrs == (0.1,) * 3 == (DEFAULT_STEP_LR,) * 3
+    assert omitted == Scenario(d=4, classes=5, mode="multistep", n=2, k=3,
+                               lrs=(0.1,) * 3, seed=1)
+    # every other mode still has no learning rates
+    assert Scenario(d=4, classes=5, mode="batch", n=2).lrs is None
+
+
+def test_sign_predicate_refuses_rows_off_the_rule():
+    y = [0, 2]
+    good = np.array([[-0.5, 0.3, 0.2],
+                     [0.1, 0.4, -0.5]])
+    assert has_sign_structure(good, y)
+    two_negatives = good.copy()
+    two_negatives[1, 0] = -0.1  # row 1 is negative at 0 and at its label 2
+    assert not has_sign_structure(two_negatives, y)
+    misplaced = np.array([[-0.5, 0.3, 0.2],
+                          [0.1, -0.4, 0.3]])  # row 1's one negative is at 1, not 2
+    assert not has_sign_structure(misplaced, y)
+    assert not has_sign_structure(np.zeros((2, 3)), y)  # no negative entry at all
+
+
 def test_latent_distributions():
     rng = np.random.default_rng(0)
     relu = sample_latents(rng, 400, 16, "relu")
@@ -168,7 +193,6 @@ def replay_case(sc: Scenario):
     rng = np.random.Generator(np.random.Philox(key=sc.seed))
     w = rng.normal(0.0, 0.1, size=(sc.d, sc.classes))
     b = rng.normal(0.0, 0.1, size=sc.classes)
-    lrs = sc.step_lrs() or (None,) * sc.k
     total = np.zeros((sc.d, sc.classes))
     labels = []
     g_rows = []
@@ -183,8 +207,8 @@ def replay_case(sc: Scenario):
             g[i, y[i]] -= 1.0
         step_update = (h / sc.n).T @ g
         if sc.mode == "multistep":
-            w = w - lrs[step] * step_update
-            total += lrs[step] * step_update
+            w = w - sc.lrs[step] * step_update
+            total += sc.lrs[step] * step_update
         else:
             total += step_update
         labels.extend(int(v) for v in y)

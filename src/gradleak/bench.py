@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import idlg_single, min_column_attack
-from .defense import grad_drop, sign_sgd
+from .defense import DefenseSpec, apply_defense
 from .gm import gm_gradients, gm_objective, make_problem, reconstruct
 from .linalg import svd
 from .metrics import length_error, set_score
@@ -37,6 +37,20 @@ class CriterionResult:
 
 def _fmt(x: float) -> float:
     return round(float(x), 4)
+
+
+def _capture(seed: int, mode: str, n: int = 1, k: int = 1, latent: str = "gauss"):
+    """The 64x100 capture of `seed`, the one shape the rank and rlg sweeps draw."""
+    return simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
+                                  latent=latent, seed=seed))
+
+
+def _rlg_score(case, defense: DefenseSpec | None = None, true_s: bool = False):
+    """rlg on the capture's update, or on its `defense` copy, with the true S
+    or the rank, scored against the capture's label set."""
+    update = case.delta_w if defense is None else apply_defense(case.delta_w, defense)
+    cfg = RlgConfig(assume_s=case.true_s) if true_s else RlgConfig()
+    return set_score(rlg_attack(update, cfg).labels, case.label_set)
 
 
 def sign_structure() -> CriterionResult:
@@ -68,19 +82,14 @@ def rank_inference() -> CriterionResult:
     total = 0
     for s in range(1, 11):
         for i in range(10):
-            sc = Scenario(d=64, classes=100, mode="batch", n=s, latent="gauss",
-                          seed=seed * 100000 + s * 100 + i)
-            case = simulate_case(sc)
-            rank = svd(case.delta_w).rank
-            matches += int(rank == s)
+            case = _capture(seed * 100000 + s * 100 + i, "batch", s)
+            matches += int(svd(case.delta_w).rank == s)
             total += 1
     le_by_k = {}
     for k in (4, 8):
         errs = []
         for i in range(20):
-            sc = Scenario(d=64, classes=100, mode="multistep", n=10, k=k,
-                          latent="gauss", seed=seed * 1000 + k * 50 + i)
-            case = simulate_case(sc)
+            case = _capture(seed * 1000 + k * 50 + i, "multistep", 10, k)
             rank = svd(case.delta_w).rank
             errs.append(length_error(rank, case.true_s))
         le_by_k[k] = sum(errs) / len(errs)
@@ -91,34 +100,16 @@ def rank_inference() -> CriterionResult:
                             "multistep_mean_le_k8": _fmt(le_by_k[8])})
 
 
-def _mode_sweep_scenarios(seed: int):
-    kinds = LATENT_KINDS
-    scenarios = []
-    for i in range(100):
-        scenarios.append(Scenario(d=64, classes=100, mode="single",
-                                  latent=kinds[i % 3], seed=seed + i))
-    for i in range(100):
-        scenarios.append(Scenario(d=64, classes=100, mode="batch", n=10,
-                                  latent=kinds[i % 3], seed=seed + 200 + i))
-    for i in range(100):
-        scenarios.append(Scenario(d=64, classes=100, mode="sequence", n=12,
-                                  latent=kinds[i % 3], seed=seed + 400 + i))
-    for i in range(100):
-        scenarios.append(Scenario(d=64, classes=100, mode="multistep", n=2, k=2,
-                                  latent=kinds[i % 3], seed=seed + 600 + i))
-    return scenarios
-
-
 def rlg_completeness() -> CriterionResult:
     """With the true S supplied, every true label is recovered on every case."""
     worst_recall = 1.0
     cases = 0
-    for sc in _mode_sweep_scenarios(303):
-        case = simulate_case(sc)
-        pred = rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s))
-        score = set_score(pred.labels, case.label_set)
-        worst_recall = min(worst_recall, score.recall)
-        cases += 1
+    modes = (("single", 1, 1), ("batch", 10, 1), ("sequence", 12, 1), ("multistep", 2, 2))
+    for m, (mode, n, k) in enumerate(modes):
+        for i in range(100):
+            case = _capture(303 + 200 * m + i, mode, n, k, LATENT_KINDS[i % 3])
+            worst_recall = min(worst_recall, _rlg_score(case, true_s=True).recall)
+            cases += 1
     passed = worst_recall == 1.0
     return CriterionResult("criterion-3 rlg completeness", passed,
                            {"cases": cases, "min_recall": _fmt(worst_recall)})
@@ -133,17 +124,13 @@ def table1_analog() -> CriterionResult:
     f1_rlg_relu = []
     f1_min_relu = []
     for i in range(sweeps):
-        tanh_case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                           latent="tanh", seed=seed + i))
-        pred = rlg_attack(tanh_case.delta_w)
-        em_rlg_tanh.append(set_score(pred.labels, tanh_case.label_set).exact_match)
+        tanh_case = _capture(seed + i, "batch", 10, latent="tanh")
+        em_rlg_tanh.append(_rlg_score(tanh_case).exact_match)
         base = min_column_attack(tanh_case.delta_w)
         prec_min_tanh.append(set_score(base.labels, tanh_case.label_set).precision)
 
-        relu_case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                           latent="relu", seed=seed + 10000 + i))
-        pred_r = rlg_attack(relu_case.delta_w)
-        f1_rlg_relu.append(set_score(pred_r.labels, relu_case.label_set).f1)
+        relu_case = _capture(seed + 10000 + i, "batch", 10, latent="relu")
+        f1_rlg_relu.append(_rlg_score(relu_case).f1)
         base_r = min_column_attack(relu_case.delta_w)
         f1_min_relu.append(set_score(base_r.labels, relu_case.label_set).f1)
     em_rate = sum(em_rlg_tanh) / sweeps
@@ -178,23 +165,17 @@ def table2_analog() -> CriterionResult:
     for n in (4, 8):
         ems = []
         for i in range(sweeps):
-            case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=n,
-                                          latent="tanh", seed=seed + n * 1000 + i))
-            pred = rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s))
-            ems.append(set_score(pred.labels, case.label_set).exact_match)
+            case = _capture(seed + n * 1000 + i, "batch", n, latent="tanh")
+            ems.append(_rlg_score(case, true_s=True).exact_match)
         em_single_step[n] = sum(ems) / sweeps
     em_multi = {}
     for k in (4, 8):
         with_true = []
         without = []
         for i in range(sweeps):
-            case = simulate_case(Scenario(d=64, classes=100, mode="multistep",
-                                          n=1, k=k, latent="tanh",
-                                          seed=seed + k * 2000 + i))
-            pred_w = rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s))
-            with_true.append(set_score(pred_w.labels, case.label_set).exact_match)
-            pred_wo = rlg_attack(case.delta_w)
-            without.append(set_score(pred_wo.labels, case.label_set).exact_match)
+            case = _capture(seed + k * 2000 + i, "multistep", 1, k, "tanh")
+            with_true.append(_rlg_score(case, true_s=True).exact_match)
+            without.append(_rlg_score(case).exact_match)
         em_multi[k] = (sum(with_true) / sweeps, sum(without) / sweeps)
     passed = (em_single_step[4] == 1.0 and em_single_step[8] == 1.0
               and all(w >= wo for w, wo in em_multi.values()))
@@ -211,20 +192,13 @@ def table3_analog() -> CriterionResult:
     """Compression defenses degrade the attack: heavier dropping hurts more
     and sign quantization is near-total."""
     seed, sweeps = 707, 100
-    ems = {"none": [], "drop50": [], "drop90": [], "sign": []}
+    defenses = {"none": None, "drop50": DefenseSpec("drop", 0.5),
+                "drop90": DefenseSpec("drop", 0.9), "sign": DefenseSpec("sign")}
+    ems = {name: [] for name in defenses}
     for i in range(sweeps):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent="tanh", seed=seed + i))
-        cfg = RlgConfig(assume_s=case.true_s)
-        variants = {
-            "none": case.delta_w,
-            "drop50": grad_drop(case.delta_w, 0.5),
-            "drop90": grad_drop(case.delta_w, 0.9),
-            "sign": sign_sgd(case.delta_w),
-        }
-        for name, mat in variants.items():
-            pred = rlg_attack(mat, cfg)
-            ems[name].append(set_score(pred.labels, case.label_set).exact_match)
+        case = _capture(seed + i, "batch", 10, latent="tanh")
+        for name, spec in defenses.items():
+            ems[name].append(_rlg_score(case, spec, true_s=True).exact_match)
     rates = {k: sum(v) / sweeps for k, v in ems.items()}
     passed = (rates["none"] >= rates["drop50"] >= rates["drop90"]
               and rates["sign"] <= 0.1)
@@ -280,28 +254,36 @@ def gm_gradient_check() -> CriterionResult:
                            {"instances": instances, "worst_rel_err": f"{worst:.2e}"})
 
 
+def table4_instance(seed: int) -> tuple[ToyDecoder, np.ndarray, list[int]]:
+    """The table-4 gm instance of `seed`: (decoder, context, labels), a
+    d_A=8, C=50 decoder and three distinct labels."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # decisive logits (weight scale) and per-position offsets (order
+    # identifiability) make the restricted search well-posed
+    decoder = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)),
+                         b=rng.normal(0.0, 0.1, 50),
+                         pos=rng.normal(0.0, 1.0, (3, 50)))
+    labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
+    return decoder, rng.normal(0.0, 1.0, (3, 8)), labels
+
+
 def table4_analog() -> CriterionResult:
-    """Restricting reconstruction to the recovered label set turns failure
-    into near-perfect transcripts and shrinks the variable count."""
+    """Restricting reconstruction to the label set rlg recovers from the
+    target update turns failure into near-perfect transcripts and shrinks
+    the variable count."""
     instances, seed = 20, 909
     em_with = []
     em_without = []
     n_vars_pair = None
     for i in range(instances):
-        rng = np.random.Generator(np.random.Philox(key=seed + i))
-        # decisive logits (weight scale) and per-position offsets (order
-        # identifiability) make the restricted search well-posed
-        decoder = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)),
-                             b=rng.normal(0.0, 0.1, 50),
-                             pos=rng.normal(0.0, 1.0, (3, 50)))
-        labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
-        context = rng.normal(0.0, 1.0, (3, 8))
-        bow = tuple(sorted(set(labels)))
+        decoder, context, labels = table4_instance(seed + i)
         # regularizer weight scaled to the toy target's gradient-distance
         # magnitude; the full-scale weight of 1 swamps the matching term
         # near the optimum and keeps transcripts from stabilizing
-        prob_bow = make_problem(decoder, context, labels, bow=bow, lam=0.1)
         prob_free = make_problem(decoder, context, labels, bow=None, lam=0.1)
+        pred = rlg_attack(prob_free.target_grad, RlgConfig(assume_s=len(labels)))
+        prob_bow = make_problem(decoder, context, labels, bow=tuple(sorted(pred.labels)),
+                                lam=0.1)
         res_bow = reconstruct(prob_bow, seed=seed + i, restarts=5, truth=labels)
         res_free = reconstruct(prob_free, seed=seed + i, restarts=5, truth=labels)
         em_with.append(bool(res_bow.exact_match))
@@ -322,15 +304,15 @@ def structural_invariance() -> CriterionResult:
     cases, transforms, seed = 10, 20, 1010
     ok = True
     for i in range(cases):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=5,
-                                      latent=LATENT_KINDS[i % 3], seed=seed + i))
+        case = _capture(seed + i, "batch", 5, latent=LATENT_KINDS[i % 3])
+        d = case.delta_w.shape[0]
         cfg = RlgConfig(assume_s=case.true_s)
         base = rlg_attack(case.delta_w, cfg).labels
         for lam in (3.7, 1e-3):
             ok = ok and rlg_attack(lam * case.delta_w, cfg).labels == base
         rng = np.random.Generator(np.random.Philox(key=seed + 999 + i))
         for _ in range(transforms):
-            m = rng.normal(0.0, 1.0, (64, 64))
+            m = rng.normal(0.0, 1.0, (d, d))
             ok = ok and rlg_attack(m @ case.delta_w, cfg).labels == base
         if not ok:
             break

@@ -13,7 +13,10 @@ replacement must have the declared shape.
 CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
 base64 text of its payload, ground truth (label list plus the ordered
 sequence for sequence-mode cases), an optional defense record, and an
-optional id-to-token vocabulary.
+optional id-to-token vocabulary.  A case is refused with its path when the
+scenario's d or classes differs from the declared d or C, when the ground
+truth holds other than the scenario's n*k labels, or when a label lies
+outside [0, C).
 
 Decoder file (JSON, version 2): d_a, classes, and `w` (d_a x classes), `b`
 (classes) and, when present, `pos` (max_len x classes) as base64 payloads.
@@ -192,7 +195,16 @@ def load_case(path: str, update: Optional[np.ndarray] = None) -> CaseFile:
             _check_text(doc["delta_w"], shape, "delta_w")
             delta_w = update
         scenario = _scenario_from_dict(doc["scenario"])
+        if (scenario.d, scenario.classes) != shape:
+            raise ValueError(f"scenario is {scenario.d}x{scenario.classes}, "
+                             f"the case declares {shape[0]}x{shape[1]}")
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
+        if len(labels) != scenario.total_labels:
+            raise ValueError(f"ground truth holds {len(labels)} labels, "
+                             f"the scenario makes n*k = {scenario.total_labels}")
+        outside = [y for y in labels if not 0 <= y < shape[1]]
+        if outside:
+            raise ValueError(f"ground-truth label {outside[0]} lies outside [0, {shape[1]})")
         vocab = None
         if doc.get("vocab") is not None:
             vocab = {int(k): str(v) for k, v in doc["vocab"].items()}

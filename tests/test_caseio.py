@@ -298,6 +298,41 @@ def test_case_scenario_block_is_pinned(tmp_path):
     assert load_case(path).case.scenario == sc
 
 
+def _edited_batch_case(tmp_path, edit):
+    # a saved 8x6, n=2 batch case whose document `edit` changes in place
+    path = str(tmp_path / "case.json")
+    save_case(path, simulate_case(Scenario(d=8, classes=6, mode="batch", n=2, seed=5)))
+    doc = json.loads(Path(path).read_text())
+    edit(doc)
+    Path(path).write_text(json.dumps(doc))
+    return path
+
+
+def test_case_refuses_a_scenario_of_another_shape(tmp_path):
+    for key, value, shape in (("d", 9, "9x6"), ("classes", 7, "8x7")):
+        path = _edited_batch_case(tmp_path, lambda doc: doc["scenario"].update({key: value}))
+        with pytest.raises(ValueError) as err:
+            load_case(path)
+        assert str(err.value) == f"{path}: scenario is {shape}, the case declares 8x6"
+
+
+def test_case_refuses_a_label_count_the_scenario_does_not_make(tmp_path):
+    path = _edited_batch_case(
+        tmp_path, lambda doc: doc["ground_truth"]["labels"].extend([0, 1, 2]))
+    with pytest.raises(ValueError) as err:
+        load_case(path)
+    assert str(err.value) == (f"{path}: ground truth holds 5 labels, "
+                              f"the scenario makes n*k = 2")
+
+
+def test_case_refuses_a_label_outside_the_classes(tmp_path):
+    for bad in (6, -1):
+        path = _edited_batch_case(tmp_path, lambda doc: doc["ground_truth"].update(labels=[0, bad]))
+        with pytest.raises(ValueError) as err:
+            load_case(path)
+        assert str(err.value) == f"{path}: ground-truth label {bad} lies outside [0, 6)"
+
+
 def test_written_files_get_the_mode_of_a_plain_write(tmp_path):
     case = simulate_case(Scenario(d=4, classes=3, mode="single", seed=1))
     old = os.umask(0o027)

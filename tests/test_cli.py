@@ -475,11 +475,7 @@ def test_gm_subcommand_end_to_end(tmp_path):
 def test_gm_positional_offsets_decide_order_through_files(tmp_path):
     # the offsets are what make order recoverable: with them the CLI finds
     # the true sequence, with them dropped it finds the same labels misordered
-    rng = np.random.Generator(np.random.Philox(key=502))
-    dec = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)), b=rng.normal(0.0, 0.1, 50),
-                     pos=rng.normal(0.0, 1.0, (3, 50)))
-    labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
-    context = rng.normal(0.0, 1.0, (3, 8))
+    dec, context, labels = bench.table4_instance(502)
     onehot = np.zeros((3, 50))
     onehot[np.arange(3), labels] = 1.0
     target = decoder_gradient(context, onehot, dec)

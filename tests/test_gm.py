@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradleak import gm
+from gradleak.bench import table4_instance
 from gradleak.gm import (GMProblem, ToyDecoder, decoder_gradient, gm_gradients,
                          gm_objective, make_problem, reconstruct, regularizer)
 from gradleak.metrics import wer
@@ -211,12 +212,7 @@ def test_enumeration_oracle_agreement():
     import itertools
     hits = 0
     for inst in range(5):
-        rng = np.random.Generator(np.random.Philox(key=500 + inst))
-        dec = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)),
-                         b=rng.normal(0.0, 0.1, 50),
-                         pos=rng.normal(0.0, 1.0, (3, 50)))
-        labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
-        context = rng.normal(0.0, 1.0, (3, 8))
+        dec, context, labels = table4_instance(500 + inst)
         prob = make_problem(dec, context, labels, bow=tuple(sorted(labels)), lam=0.1)
         seqs = list(itertools.product(prob.bow, repeat=3))
         dists = {seq: fit_distance(prob, seq) for seq in seqs}
@@ -295,14 +291,6 @@ def _bits(result):
     return {name: exact(getattr(result, name)) for name in gm.GMResult.__dataclass_fields__}
 
 
-def _table4_instance(seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    dec = ToyDecoder(w=rng.normal(0.0, 0.7, (8, 50)), b=rng.normal(0.0, 0.1, 50),
-                     pos=rng.normal(0.0, 1.0, (3, 50)))
-    labels = [int(c) for c in rng.choice(50, size=3, replace=False)]
-    return dec, rng.normal(0.0, 1.0, (3, 8)), labels
-
-
 def test_stacked_gradients_equal_per_slice_calls():
     dec = small_decoder(seed=23, pos_std=1.0)
     rng = np.random.default_rng(24)
@@ -340,7 +328,7 @@ def test_stacked_descent_matches_serial_reference(restarts, restricted):
 @pytest.mark.parametrize("restricted", [True, False])
 def test_stacked_descent_matches_serial_reference_table4(restricted):
     # at a 2500-step cap some restarts converge and others run to the cap
-    dec, context, labels = _table4_instance(909)
+    dec, context, labels = table4_instance(909)
     bow = tuple(sorted(labels)) if restricted else None
     prob = make_problem(dec, context, labels, bow=bow, lam=0.1, max_steps=2500)
     got = reconstruct(prob, seed=909, restarts=5, truth=labels)

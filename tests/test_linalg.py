@@ -164,6 +164,41 @@ def test_numeric_rank_monotone_in_tolerance():
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
 
+def _sweep_style_updates():
+    # the 64x100 captures of one perfbench sweep round on each seed (four
+    # modes under each of three latents), clean and as the drop90 and sign
+    # copies the sweep attacks
+    for seed in (1201, 77):
+        for li, latent in enumerate(("tanh", "relu", "gauss")):
+            for offset, (mode, n, k) in enumerate((("single", 1, 1), ("batch", 10, 1),
+                                                   ("sequence", 12, 1), ("multistep", 2, 2))):
+                dw = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
+                                            latent=latent,
+                                            seed=seed * 1_000_003 + 4 * li + offset)).delta_w
+                yield dw
+                yield apply_defense(dw, DefenseSpec("drop", 0.9))
+                yield apply_defense(dw, DefenseSpec("sign"))
+
+
+def test_svd_matches_lapack_accurate_jacobi():
+    # LAPACK's preconditioned one-sided Jacobi (dgejsv, Drmac & Veselic 2008)
+    # as the oracle: same rank under the default cut, and the live singular
+    # values within a few ulps of the largest
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    checked = 0
+    for m in _sweep_style_updates():
+        got = svd(m)
+        # dgejsv needs rows >= cols; no vectors are asked for
+        sva, _, _, work, _, info = lapack.dgejsv(m.T, jobu=3, jobv=3)
+        assert info == 0
+        want = sva * work[0] / work[1]
+        assert numeric_rank(want, default_rank_tol(*m.shape)) == got.rank
+        live = slice(0, got.rank)
+        assert np.abs(got.singular[live] - want[live]).max() <= 1e-13 * want[0]
+        checked += 1
+    assert checked == 72
+
+
 def _round_robin_by_lists(n):
     # the circle method written out seat by seat, as the reference schedule
     players = list(range(n)) + ([-1] if n % 2 else [])

@@ -11,12 +11,14 @@ a string with the length of the base64 text of a d x C payload, and the
 replacement must have the declared shape.
 
 CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
-base64 text of its payload, ground truth (label list plus the ordered
-sequence for sequence-mode cases), an optional defense record, and an
-optional id-to-token vocabulary.  A case is refused with its path when the
-scenario's d or classes differs from the declared d or C, when the ground
-truth holds other than the scenario's n*k labels, or when a label lies
-outside [0, C).
+base64 text of its payload, ground truth (the label list, in generation
+order), an optional defense record, and an optional id-to-token vocabulary.
+A case is refused with its path when `Scenario.check_case` refuses it: the
+scenario's d or classes differs from the declared d or C, the ground truth
+holds other than the scenario's n*k labels, a label lies outside [0, C), or
+the labels differ from the scenario's fixed ones.  `save_case` refuses, with
+the same message less the path, every case that `load_case` would refuse,
+so it writes no file that cannot be read back.
 
 Decoder file (JSON, version 2): d_a, classes, and `w` (d_a x classes), `b`
 (classes) and, when present, `pos` (max_len x classes) as base64 payloads.
@@ -165,16 +167,16 @@ def _scenario_from_dict(obj: dict) -> Scenario:
 
 def save_case(path: str, case: GradientCase,
               defense_applied: Optional[DefenseSpec] = None) -> None:
+    delta_w = as_matrix(case.delta_w, "delta_w")
+    case.scenario.check_case(delta_w.shape, case.true_labels)
     doc = {
         "version": CASE_VERSION,
-        "d": case.delta_w.shape[0],
-        "C": case.delta_w.shape[1],
+        "d": delta_w.shape[0],
+        "C": delta_w.shape[1],
         "scenario": dataclasses.asdict(case.scenario),
-        "delta_w": _to_text(as_matrix(case.delta_w, "delta_w")),
+        "delta_w": _to_text(delta_w),
         "ground_truth": {"labels": list(case.true_labels)},
     }
-    if case.scenario.mode == "sequence":
-        doc["ground_truth"]["sequence"] = list(case.true_labels)
     if defense_applied is not None:
         doc["defense_applied"] = dataclasses.asdict(defense_applied)
     if case.vocab is not None:
@@ -195,16 +197,8 @@ def load_case(path: str, update: Optional[np.ndarray] = None) -> CaseFile:
             _check_text(doc["delta_w"], shape, "delta_w")
             delta_w = update
         scenario = _scenario_from_dict(doc["scenario"])
-        if (scenario.d, scenario.classes) != shape:
-            raise ValueError(f"scenario is {scenario.d}x{scenario.classes}, "
-                             f"the case declares {shape[0]}x{shape[1]}")
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
-        if len(labels) != scenario.total_labels:
-            raise ValueError(f"ground truth holds {len(labels)} labels, "
-                             f"the scenario makes n*k = {scenario.total_labels}")
-        outside = [y for y in labels if not 0 <= y < shape[1]]
-        if outside:
-            raise ValueError(f"ground-truth label {outside[0]} lies outside [0, {shape[1]})")
+        scenario.check_case(shape, labels)
         vocab = None
         if doc.get("vocab") is not None:
             vocab = {int(k): str(v) for k, v in doc["vocab"].items()}

@@ -25,12 +25,14 @@ from .baselines import idlg_single, min_column_attack
 from .caseio import (_atomic_write_bytes, aggregate_report, load_case, load_decoder,
                      load_report, read_grd, save_case, save_decoder, save_report,
                      write_grd, write_json_atomic)
-from .defense import DefenseSpec, apply_defense
+from .defense import DEFENSE_KINDS, DefenseSpec, apply_defense
 from .gm import GMProblem, reconstruct
 from .metrics import length_error, set_score
 from .linalg import SvdConvergenceError
-from .rlg import LpPivotLimitError, LpSingularBasisError, RlgConfig, extract_q, rlg_attack
-from .simulator import GradientCase, Scenario, initial_state, simulate_case
+from .rlg import (LabelSetPrediction, LpPivotLimitError, LpSingularBasisError, RlgConfig,
+                  extract_q, rlg_attack)
+from .simulator import (LATENT_KINDS, MODES, GradientCase, Scenario, initial_state,
+                        simulate_case)
 
 
 def _default_seed() -> int:
@@ -46,13 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate ground-truthed gradient cases")
-    sim.add_argument("--mode", choices=["single", "batch", "sequence", "multistep"],
-                     default="single")
+    sim.add_argument("--mode", choices=MODES, default="single")
     sim.add_argument("--n", type=int, default=1, help="samples per step / sequence length")
     sim.add_argument("--k", type=int, default=1, help="aggregated steps (multistep)")
     sim.add_argument("--d", type=int, required=True, help="latent dimension")
     sim.add_argument("--classes", type=int, required=True)
-    sim.add_argument("--latent", choices=["relu", "tanh", "gauss"], default="gauss")
+    sim.add_argument("--latent", choices=LATENT_KINDS, default="gauss")
     sim.add_argument("--lr", type=float, default=None,
                      help="per-step learning rate (multistep only; omitted, the scenario's default)")
     sim.add_argument("--seed", type=int, default=None)
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--report", required=True)
 
     dfd = sub.add_parser("defend", help="rewrite a case with a compression defense applied")
-    dfd.add_argument("defense", choices=["sign", "drop"])
+    dfd.add_argument("defense", choices=DEFENSE_KINDS)
     dfd.add_argument("case", metavar="CASE")
     dfd.add_argument("--rate", type=float, default=None,
                      help="drop fraction (drop only, default 0.5)")
@@ -166,28 +167,20 @@ def _attack_one(path: str, args) -> dict:
         # the sidecar replaces the stored update, which is then never decoded
         update = read_grd(args.delta_grd) if args.delta_grd else None
         case = load_case(path, update).case
-        delta_w = case.delta_w
         if args.attack == "rlg":
             cfg = RlgConfig(rank_tol_rel=args.rank_tol, assume_s=_chosen_s(args, case))
-            pred = rlg_attack(delta_w, cfg)
-            predicted = sorted(pred.labels)
-            inferred = pred.inferred_s
-            entry["rank_estimate"] = pred.rank_estimate
+            pred = rlg_attack(case.delta_w, cfg)
         elif args.attack == "idlg":
-            label = idlg_single(delta_w)
-            predicted = [label]
-            inferred = 1
+            pred = LabelSetPrediction(inferred_s=1, labels=frozenset({idlg_single(case.delta_w)}))
         else:
-            pred = min_column_attack(delta_w)
-            predicted = sorted(pred.labels)
-            inferred = pred.inferred_s
-        score = set_score(predicted, case.label_set)
+            pred = min_column_attack(case.delta_w)
+        if pred.rank_estimate is not None:
+            entry["rank_estimate"] = pred.rank_estimate
         entry.update({
-            "inferred_S": inferred,
-            "predicted_labels": predicted,
-            "set_score": {"precision": score.precision, "recall": score.recall,
-                          "f1": score.f1, "exact_match": score.exact_match},
-            "length_error": length_error(inferred, case.true_s),
+            "inferred_S": pred.inferred_s,
+            "predicted_labels": sorted(pred.labels),
+            "set_score": dataclasses.asdict(set_score(pred.labels, case.label_set)),
+            "length_error": length_error(pred.inferred_s, case.true_s),
         })
     except Exception as exc:  # recorded per case; fatality decided by the caller
         entry["error"] = f"{type(exc).__name__}: {exc}"

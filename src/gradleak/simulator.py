@@ -83,17 +83,32 @@ class Scenario:
                 raise ValueError("all learning rates must be positive")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
-            if len(self.labels) != self.total_labels:
-                raise ValueError(
-                    f"fixed label list must have length {self.total_labels}, got {len(self.labels)}")
-            if any(y < 0 or y >= self.classes for y in self.labels):
-                raise ValueError("fixed labels out of range")
+            # a fixed list is the ground truth of every case the scenario makes
+            self.check_case((self.d, self.classes), self.labels)
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
 
     @property
     def total_labels(self) -> int:
         return self.n * self.k
+
+    def check_case(self, shape: tuple[int, int], labels) -> None:
+        """Refuse a d x C update `shape` and its ground truth `labels` when
+        this scenario cannot have made them: the shape must be d x classes,
+        and the labels n*k values in [0, classes), equal to the fixed
+        `labels` when the scenario has them."""
+        if shape != (self.d, self.classes):
+            raise ValueError(f"scenario is {self.d}x{self.classes}, "
+                             f"the case declares {shape[0]}x{shape[1]}")
+        if len(labels) != self.total_labels:
+            raise ValueError(f"ground truth holds {len(labels)} labels, "
+                             f"the scenario makes n*k = {self.total_labels}")
+        outside = [y for y in labels if not 0 <= y < self.classes]
+        if outside:
+            raise ValueError(f"ground-truth label {outside[0]} lies outside [0, {self.classes})")
+        if self.labels is not None and tuple(labels) != self.labels:
+            raise ValueError(f"ground truth {list(labels)} is not the scenario's "
+                             f"fixed labels {list(self.labels)}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradleak.baselines import NotSingleSampleError, idlg_single, min_column_attack
+from gradleak.bench import _capture
 from gradleak.metrics import set_score
 from gradleak.simulator import Scenario, simulate_case
 
@@ -65,8 +66,7 @@ def test_min_column_relu_sweep_perfect_precision():
     precisions = []
     recalls = []
     for seed in range(100):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent="relu", seed=3000 + seed))
+        case = _capture(3000 + seed, "batch", n=10, latent="relu")
         score = set_score(min_column_attack(case.delta_w).labels, case.label_set)
         precisions.append(score.precision)
         recalls.append(score.recall)
@@ -77,8 +77,7 @@ def test_min_column_relu_sweep_perfect_precision():
 def test_min_column_tanh_sweep_poor_precision():
     precisions = []
     for seed in range(100):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent="tanh", seed=4000 + seed))
+        case = _capture(4000 + seed, "batch", n=10, latent="tanh")
         precisions.append(set_score(min_column_attack(case.delta_w).labels,
                                     case.label_set).precision)
     assert sum(precisions) / len(precisions) < 0.5

@@ -29,12 +29,19 @@ def test_case_round_trip_bit_exact(tmp_path):
 
 
 def test_case_sequence_carries_ordered_ground_truth(tmp_path):
+    # the label list is the ordered sequence; a file that still carries the
+    # copy older versions wrote as `sequence` loads unchanged
     case = simulate_case(Scenario(d=6, classes=5, mode="sequence", n=4, seed=8))
-    path = str(tmp_path / "seq.json")
-    save_case(path, case)
-    doc = json.loads(Path(path).read_text())
-    assert doc["ground_truth"]["sequence"] == list(case.true_labels)
+    path = tmp_path / "seq.json"
+    save_case(str(path), case)
+    doc = json.loads(path.read_text())
+    assert doc["ground_truth"] == {"labels": list(case.true_labels)}
     assert doc["version"] == 2
+    doc["ground_truth"]["sequence"] = list(case.true_labels)
+    path.write_text(json.dumps(doc))
+    loaded = load_case(str(path)).case
+    assert loaded.delta_w.tobytes() == case.delta_w.tobytes()
+    assert loaded == dataclasses.replace(case, delta_w=loaded.delta_w)
 
 
 def test_case_defense_and_vocab_round_trip(tmp_path):
@@ -331,6 +338,42 @@ def test_case_refuses_a_label_outside_the_classes(tmp_path):
         with pytest.raises(ValueError) as err:
             load_case(path)
         assert str(err.value) == f"{path}: ground-truth label {bad} lies outside [0, 6)"
+
+
+def _fixed_sequence_case():
+    return simulate_case(Scenario(d=8, classes=6, mode="sequence", n=3, labels=(1, 2, 3)))
+
+
+def test_case_refuses_ground_truth_other_than_the_fixed_labels(tmp_path):
+    path = tmp_path / "seq.json"
+    save_case(str(path), _fixed_sequence_case())
+    doc = json.loads(path.read_text())
+    doc["ground_truth"]["labels"] = [5, 0, 0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_case(str(path))
+    assert str(err.value) == (f"{path}: ground truth [5, 0, 0] is not the "
+                              f"scenario's fixed labels [1, 2, 3]")
+
+
+def test_save_case_refuses_what_load_case_refuses(tmp_path):
+    # each inconsistency gets the loader's message without the path, and no
+    # file is written
+    batch = simulate_case(Scenario(d=8, classes=6, mode="batch", n=2, seed=5))
+    path = tmp_path / "bad.json"
+    for case, message in (
+            (dataclasses.replace(batch, delta_w=batch.delta_w[:4]),
+             "scenario is 8x6, the case declares 4x6"),
+            (dataclasses.replace(batch, true_labels=(0, 1, 2)),
+             "ground truth holds 3 labels, the scenario makes n*k = 2"),
+            (dataclasses.replace(batch, true_labels=(0, 6)),
+             "ground-truth label 6 lies outside [0, 6)"),
+            (dataclasses.replace(_fixed_sequence_case(), true_labels=(5, 0, 0)),
+             "ground truth [5, 0, 0] is not the scenario's fixed labels [1, 2, 3]")):
+        with pytest.raises(ValueError) as err:
+            save_case(str(path), case)
+        assert str(err.value) == message
+        assert os.listdir(tmp_path) == []
 
 
 def test_written_files_get_the_mode_of_a_plain_write(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gradleak import linalg
+from gradleak.bench import _capture
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.linalg import (SvdConvergenceError, _round_robin, as_matrix,
                              default_rank_tol, numeric_rank, svd)
-from gradleak.simulator import Scenario, simulate_case
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -172,9 +172,7 @@ def _sweep_style_updates():
         for li, latent in enumerate(("tanh", "relu", "gauss")):
             for offset, (mode, n, k) in enumerate((("single", 1, 1), ("batch", 10, 1),
                                                    ("sequence", 12, 1), ("multistep", 2, 2))):
-                dw = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
-                                            latent=latent,
-                                            seed=seed * 1_000_003 + 4 * li + offset)).delta_w
+                dw = _capture(seed * 1_000_003 + 4 * li + offset, mode, n, k, latent).delta_w
                 yield dw
                 yield apply_defense(dw, DefenseSpec("drop", 0.9))
                 yield apply_defense(dw, DefenseSpec("sign"))
@@ -298,9 +296,7 @@ def _bit_identity_inputs():
     # some columns dead: the hot pairs must map back to the same rounds
     for mode, n, k, latent, seed in (("batch", 10, 1, "tanh", 8102),
                                      ("multistep", 2, 2, "gauss", 8104)):
-        dw = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
-                                    lrs=(0.1,) * k if mode == "multistep" else None,
-                                    latent=latent, seed=seed)).delta_w
+        dw = _capture(seed, mode, n, k, latent).delta_w
         drop90 = apply_defense(dw, DefenseSpec("drop", 0.9))
         yield pytest.param(drop90, True, id=f"{mode}-drop90")
         if mode == "batch":

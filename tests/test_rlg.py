@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradleak import linalg, rlg
+from gradleak.bench import _capture
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.metrics import set_score
 from gradleak.rlg import (DEFAULT_MAX_PIVOTS, LP_MARGIN, DegenerateUpdateError,
@@ -22,8 +23,7 @@ def captures():
     each with its Q at the true S: (tag, delta_w, cfg, q)."""
     out = []
     for i, latent in enumerate(LATENTS):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent=latent, seed=8100 + i))
+        case = _capture(8100 + i, "batch", n=10, latent=latent)
         cfg = RlgConfig(assume_s=case.true_s)
         for tag, dw in (("clean", case.delta_w),
                         ("drop90", apply_defense(case.delta_w, DefenseSpec("drop", 0.9))),
@@ -55,8 +55,7 @@ def test_extract_q_zero_matrix_degenerate():
 
 
 def test_extract_q_batch_rank_and_orthonormal_rows():
-    case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=5,
-                                  latent="tanh", seed=3))
+    case = _capture(3, "batch", n=5, latent="tanh")
     s, q, _ = extract_q(case.delta_w)
     assert s == 5
     assert np.abs(q @ q.T - np.eye(5)).max() <= 1e-10
@@ -96,8 +95,7 @@ def test_extract_q_assume_s_above_rank_stops_at_the_rank():
     assert np.array_equal(q, q_live)
     # relu sign copies run with the true S = 10 sit above the numeric rank
     for seed in (8201, 8204):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent="relu", seed=seed))
+        case = _capture(seed, "batch", n=10, latent="relu")
         dw = apply_defense(case.delta_w, DefenseSpec("sign"))
         s, q, rank = extract_q(dw, RlgConfig(assume_s=case.true_s))
         res = linalg.svd(dw)
@@ -185,8 +183,7 @@ def test_lp_pivot_cap_propagates_or_reports_infeasible(monkeypatch):
 def test_singular_basis_names_its_cause(monkeypatch):
     # label 0 of this capture needs 15 pivots, so it reaches the
     # refactorisation at pivot 4
-    case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                  latent="tanh", seed=7000))
+    case = _capture(7000, "batch", n=10, latent="tanh")
     _, q, _ = extract_q(case.delta_w)
 
     def singular(_):
@@ -265,8 +262,7 @@ def _highs_distance(q, c):
 def _sweep_capture(seed, index, mode, latent, defense):
     # capture `index` of the perfbench sweep set-up on `seed`, defended
     n = {"single": 1, "sequence": 12}[mode]
-    case = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, latent=latent,
-                                  seed=seed * 1_000_003 + index))
+    case = _capture(seed * 1_000_003 + index, mode, n, latent=latent)
     return case, apply_defense(case.delta_w, defense)
 
 
@@ -351,9 +347,7 @@ def _sweep_mode_captures():
     # another latent, and its copies as the sweep attacks them: (tag, q)
     kinds = (("single", 1, 1), ("batch", 10, 1), ("sequence", 12, 1), ("multistep", 2, 2))
     for i, (mode, n, k) in enumerate(kinds):
-        case = simulate_case(Scenario(d=64, classes=100, mode=mode, n=n, k=k,
-                                      lrs=(0.1,) * k if mode == "multistep" else None,
-                                      latent=LATENTS[i % 3], seed=8300 + i))
+        case = _capture(8300 + i, mode, n, k, LATENTS[i % 3])
         true_s = RlgConfig(assume_s=case.true_s)
         yield f"{mode}-clean", extract_q(case.delta_w)[1]
         for tag, spec in (("drop90", DefenseSpec("drop", 0.9)), ("sign", DefenseSpec("sign"))):
@@ -591,8 +585,7 @@ def test_attack_statuses_partition_labels():
 
 def test_recall_one_on_quick_sweep():
     for seed in range(10):
-        case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=10,
-                                      latent="tanh", seed=7000 + seed))
+        case = _capture(7000 + seed, "batch", n=10, latent="tanh")
         pred = rlg_attack(case.delta_w, RlgConfig(assume_s=case.true_s))
         assert set_score(pred.labels, case.label_set).recall == 1.0
 

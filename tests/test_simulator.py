@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradleak.bench import _capture
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
 from gradleak.simulator import (DEFAULT_STEP_LR, GradientCase, Scenario, ToyDecoder,
                                 has_sign_structure, initial_state, projection_grad,
@@ -119,8 +120,12 @@ def test_scenario_validation():
         Scenario(d=4, classes=5, mode="multistep", n=1, k=2, lrs=(0.1,))
     with pytest.raises(ValueError):
         Scenario(d=4, classes=5, mode="multistep", n=1, k=2, lrs=(0.1, -0.1))
-    with pytest.raises(ValueError):
+    # a fixed list is held to the case rule's label count and range
+    with pytest.raises(ValueError,
+                       match=r"^ground truth holds 2 labels, the scenario makes n\*k = 3$"):
         Scenario(d=4, classes=5, mode="batch", n=3, labels=(0, 1))
+    with pytest.raises(ValueError, match=r"^ground-truth label 5 lies outside \[0, 5\)$"):
+        Scenario(d=4, classes=5, mode="batch", n=2, labels=(0, 5))
     with pytest.raises(ValueError):
         Scenario(d=4, classes=5, latent="swish")
 
@@ -166,8 +171,7 @@ def test_single_sample_case():
 
 
 def test_batch_case_rank_matches_n():
-    case = simulate_case(Scenario(d=64, classes=100, mode="batch", n=5,
-                                  latent="tanh", seed=3))
+    case = _capture(3, "batch", n=5, latent="tanh")
     sv = svd(case.delta_w).singular
     assert numeric_rank(sv, default_rank_tol(64, 100)) == 5
 

@@ -9,8 +9,8 @@ restricted gradient matching.
 
 from .baselines import NotSingleSampleError, idlg_single, min_column_attack
 from .defense import DefenseSpec, apply_defense, grad_drop, sign_sgd
-from .gm import (GMProblem, GMResult, decoder_gradient, gm_gradients, gm_objective,
-                 make_problem, reconstruct, regularizer)
+from .gm import (GMProblem, GMResult, gm_gradients, gm_objective, make_problem, reconstruct,
+                 regularizer)
 from .linalg import (SvdConvergenceError, SvdResult, as_matrix, default_rank_tol,
                      numeric_rank, svd)
 from .metrics import SetScore, length_error, set_score, wer

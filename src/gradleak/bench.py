@@ -277,13 +277,9 @@ def table4_analog() -> CriterionResult:
     n_vars_pair = None
     for i in range(instances):
         decoder, context, labels = table4_instance(seed + i)
-        # regularizer weight scaled to the toy target's gradient-distance
-        # magnitude; the full-scale weight of 1 swamps the matching term
-        # near the optimum and keeps transcripts from stabilizing
-        prob_free = make_problem(decoder, context, labels, bow=None, lam=0.1)
+        prob_free = make_problem(decoder, context, labels, bow=None)
         pred = rlg_attack(prob_free.target_grad, RlgConfig(assume_s=len(labels)))
-        prob_bow = make_problem(decoder, context, labels, bow=tuple(sorted(pred.labels)),
-                                lam=0.1)
+        prob_bow = make_problem(decoder, context, labels, bow=tuple(sorted(pred.labels)))
         res_bow = reconstruct(prob_bow, seed=seed + i, restarts=5, truth=labels)
         res_free = reconstruct(prob_free, seed=seed + i, restarts=5, truth=labels)
         em_with.append(bool(res_bow.exact_match))

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gmp.add_argument("--decoder", required=True)
     gmp.add_argument("--bow", action="store_true",
                      help="restrict the label search to the set recovered by the rlg attack")
-    gmp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    gmp.add_argument("--lambda", dest="lam", type=float, default=GMProblem.lam)
     gmp.add_argument("--restarts", type=int, default=5)
     gmp.add_argument("--seed", type=int, default=None)
     gmp_s = gmp.add_mutually_exclusive_group()

@@ -9,7 +9,8 @@ contributing labels are known and every attack can be scored against them.
 The layer is :class:`ToyDecoder`, logits A W + b (plus optional
 per-position offsets).  It is the package's one projection-layer class:
 ``initial_state`` returns it, ``projection_grad`` differentiates through its
-``logits``, and ``gm`` reconstructs sequences through the same forward pass.
+``logits``, and ``gm`` builds its known targets with ``projection_grad`` and
+reconstructs sequences through the same forward pass.
 
 PRNG contract: each case is a pure function of its scenario, drawn from a
 Philox counter-based stream keyed by the scenario seed.  Draw order is fixed:
@@ -28,7 +29,10 @@ import numpy as np
 
 from .linalg import as_matrix
 
-LATENT_KINDS = ("relu", "tanh", "gauss")
+# each latent kind's map of a standard-normal block; the criteria index
+# LATENT_KINDS in this order
+_LATENT_MAPS = {"relu": np.abs, "tanh": np.tanh, "gauss": lambda x: x}
+LATENT_KINDS = tuple(_LATENT_MAPS)
 MODES = ("single", "batch", "sequence", "multistep")
 INIT_STD = 0.1
 DEFAULT_STEP_LR = 0.1
@@ -79,8 +83,9 @@ class Scenario:
             object.__setattr__(self, "lrs", tuple(float(a) for a in self.lrs))
             if len(self.lrs) != self.k:
                 raise ValueError(f"need {self.k} learning rates, got {len(self.lrs)}")
-            if any(a <= 0.0 for a in self.lrs):
-                raise ValueError("all learning rates must be positive")
+            bad = [a for a in self.lrs if not 0.0 < a < np.inf]
+            if bad:
+                raise ValueError(f"learning rate {bad[0]} must be finite and positive")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
             # a fixed list is the ground truth of every case the scenario makes
@@ -194,14 +199,9 @@ class ToyDecoder:
 
 def sample_latents(rng: np.random.Generator, count: int, d: int, kind: str) -> np.ndarray:
     """Draw a (count x d) latent block: half-normal, tanh-squashed, or normal."""
-    x = rng.standard_normal((count, d))
-    if kind == "relu":
-        return np.abs(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "gauss":
-        return x
-    raise ValueError(f"unknown latent kind {kind!r}")
+    if kind not in _LATENT_MAPS:
+        raise ValueError(f"unknown latent kind {kind!r}")
+    return _LATENT_MAPS[kind](rng.standard_normal((count, d)))
 
 
 def projection_grad(h, labels, layer: ToyDecoder) -> tuple[np.ndarray, np.ndarray]:

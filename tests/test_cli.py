@@ -15,7 +15,7 @@ from gradleak.caseio import (load_case, load_decoder, load_report, read_grd, sav
                              save_decoder, write_grd)
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.cli import main
-from gradleak.gm import ToyDecoder, decoder_gradient
+from gradleak.gm import ToyDecoder, make_problem
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
 from gradleak.rlg import RlgConfig, rlg_attack
 from gradleak.simulator import GradientCase, Scenario, simulate_case
@@ -143,6 +143,16 @@ def test_simulate_refuses_options_it_would_ignore(tmp_path, capsys):
              "--lr sets the multistep learning rate; batch does not read it")):
         assert main(base + extra) == 2, extra
         assert f"error: {cause}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+def test_simulate_refuses_a_non_finite_lr(tmp_path, capsys):
+    # the scenario names the rate, before the simulator meets its NaN weights
+    case = str(tmp_path / "case.json")
+    for rate in ("nan", "inf"):
+        assert main(["simulate", "--mode", "multistep", "--n", "2", "--k", "2", "--d", "6",
+                     "--classes", "5", "--lr", rate, "--out", case]) == 2
+        assert capsys.readouterr().err == f"error: learning rate {rate} must be finite and positive\n"
         assert os.listdir(tmp_path) == []
 
 
@@ -476,9 +486,7 @@ def test_gm_positional_offsets_decide_order_through_files(tmp_path):
     # the offsets are what make order recoverable: with them the CLI finds
     # the true sequence, with them dropped it finds the same labels misordered
     dec, context, labels = bench.table4_instance(502)
-    onehot = np.zeros((3, 50))
-    onehot[np.arange(3), labels] = 1.0
-    target = decoder_gradient(context, onehot, dec)
+    target = make_problem(dec, context, labels).target_grad
     case_path = str(tmp_path / "seq.json")
     save_case(case_path, GradientCase(
         scenario=Scenario(d=8, classes=50, mode="sequence", n=3, labels=tuple(labels)),
@@ -550,6 +558,30 @@ def test_gm_solver_failures_exit_1_without_a_report(tmp_path, monkeypatch, capsy
             assert main(head + extra) == 1
         assert capsys.readouterr().err.startswith(cause)
         assert not os.path.exists(report)
+
+
+def test_gm_lambda_defaults_to_the_problem_weight(tmp_path, capsys):
+    case_path = str(tmp_path / "seq.json")
+    dec_path = str(tmp_path / "dec.json")
+    main(["simulate", "--mode", "sequence", "--n", "2", "--d", "6",
+          "--classes", "5", "--seed", "21", "--out", case_path,
+          "--decoder-out", dec_path])
+    head = ["gm", case_path, "--decoder", dec_path, "--bow", "--use-true-s",
+            "--restarts", "2", "--seed", "0", "--report"]
+    docs = []
+    for name, extra in (("default.json", []), ("explicit.json", ["--lambda", "0.1"])):
+        assert main(head + [str(tmp_path / name)] + extra) == 0
+        docs.append(json.loads((tmp_path / name).read_text()))
+    assert docs[0]["result"] == docs[1]["result"]
+    assert docs[0]["config"]["lam"] == 0.1
+    # a weight that is not finite is refused before any descent
+    capsys.readouterr()
+    for weight in ("nan", "inf"):
+        report = tmp_path / f"{weight}.json"
+        assert main(head + [str(report), "--lambda", weight]) == 2
+        assert capsys.readouterr().err == (
+            f"error: regularization weight must be finite and >= 0, got {weight}\n")
+        assert not report.exists()
 
 
 def test_gm_s_sets_s_used(tmp_path):

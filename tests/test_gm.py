@@ -3,8 +3,8 @@ import pytest
 
 from gradleak import gm
 from gradleak.bench import table4_instance
-from gradleak.gm import (GMProblem, ToyDecoder, decoder_gradient, gm_gradients,
-                         gm_objective, make_problem, reconstruct, regularizer)
+from gradleak.gm import (GMProblem, ToyDecoder, gm_gradients, gm_objective, make_problem,
+                         reconstruct, regularizer)
 from gradleak.metrics import wer
 from gradleak.simulator import _softmax_rows
 
@@ -145,10 +145,21 @@ def test_problem_validation():
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(2, 8))
     with pytest.raises(ValueError):
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=1, bow=(-1,))
-    with pytest.raises(ValueError):
-        GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, lam=-0.5)
+    for lam in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^regularization weight must be finite "
+                                             f"and >= 0, got {lam}$"):
+            GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, lam=lam)
     with pytest.raises(ValueError, match="step cap"):
         GMProblem(target_grad=np.zeros((5, 8)), decoder=dec, s=2, max_steps=0)
+
+
+def test_make_problem_refuses_labels_outside_the_classes():
+    # label -1 would otherwise index class C-1, and label C past the end
+    dec = small_decoder()
+    context = np.random.default_rng(2).normal(size=(3, 5))
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="labels out of range"):
+            make_problem(dec, context, [bad, 1, 2])
 
 
 def test_singleton_search_space():
@@ -204,10 +215,8 @@ def test_enumeration_oracle_agreement():
         for _ in range(steps):
             ga, _ = gm_gradients(a, onehot, prob)
             a -= lr * ga
-        expanded = np.zeros((prob.s, prob.decoder.classes))
-        expanded[:, prob.cols] = onehot
-        diff = decoder_gradient(a, expanded, prob.decoder) - prob.target_grad
-        return float(np.sqrt((diff * diff).sum()))
+        # the regularizer is exactly 0 on one-hot rows
+        return float(np.sqrt(gm_objective(a, onehot, prob)))
 
     import itertools
     hits = 0
@@ -257,8 +266,7 @@ def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
             if step - last_change >= gm.STABLE_STEPS:
                 converged = True
                 break
-        m = gm._forward(a, p, prob.decoder, prob.cols)[1]
-        diff = a.T @ m - prob.target_grad
+        diff = gm._residual(a, p, prob)[2]
         distance = float(np.sqrt((diff * diff).sum()))
         objective = distance * distance + prob.lam * regularizer(p)
         return transcript, distance, objective, step, converged

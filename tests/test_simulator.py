@@ -118,8 +118,10 @@ def test_scenario_validation():
         Scenario(d=4, classes=5, mode="batch", n=3, k=2)
     with pytest.raises(ValueError):
         Scenario(d=4, classes=5, mode="multistep", n=1, k=2, lrs=(0.1,))
-    with pytest.raises(ValueError):
-        Scenario(d=4, classes=5, mode="multistep", n=1, k=2, lrs=(0.1, -0.1))
+    # a rate must be finite and positive, and the message names it
+    for rate in ("-0.1", "0.0", "nan", "inf"):
+        with pytest.raises(ValueError, match=f"^learning rate {rate} must be finite and positive$"):
+            Scenario(d=4, classes=5, mode="multistep", n=1, k=2, lrs=(0.1, float(rate)))
     # a fixed list is held to the case rule's label count and range
     with pytest.raises(ValueError,
                        match=r"^ground truth holds 2 labels, the scenario makes n\*k = 3$"):
@@ -162,6 +164,8 @@ def test_latent_distributions():
     assert (np.abs(tanh) < 1.0).all()
     frac_neg = (tanh < 0.0).mean()
     assert 0.4 < frac_neg < 0.6
+    with pytest.raises(ValueError, match="^unknown latent kind 'swish'$"):
+        sample_latents(rng, 4, 2, "swish")
 
 
 def test_single_sample_case():

@@ -123,19 +123,18 @@ def _cmd_simulate(args) -> int:
     if args.lr is not None and args.mode != "multistep":
         raise ValueError(f"--lr sets the multistep learning rate; {args.mode} does not read it")
 
-    def scenario_for(s):
-        return Scenario(d=args.d, classes=args.classes, mode=args.mode,
-                        n=args.n, k=args.k,
-                        lrs=(args.lr,) * args.k if args.lr is not None else None,
-                        latent=args.latent, seed=s)
-
+    # every scenario is built, and so checked, before --out is made
+    lrs = (args.lr,) * args.k if args.lr is not None else None
+    scenarios = [Scenario(d=args.d, classes=args.classes, mode=args.mode, n=args.n,
+                          k=args.k, lrs=lrs, latent=args.latent, seed=s)
+                 for s in range(seed, seed + args.count)]
     # one case goes to --out itself unless that is a directory
     in_dir = args.count > 1 or os.path.isdir(args.out)
     if args.count > 1:
         os.makedirs(args.out, exist_ok=True)
     paths = []
-    for s in range(seed, seed + args.count):
-        path = os.path.join(args.out, f"case-{s:08d}.json") if in_dir else args.out
+    for sc in scenarios:
+        path = os.path.join(args.out, f"case-{sc.seed:08d}.json") if in_dir else args.out
         paths.append(path)
         if args.skip_existing and os.path.exists(path):
             # a kept case still gets the sidecar the command names
@@ -143,12 +142,12 @@ def _cmd_simulate(args) -> int:
                 continue
             case = load_case(path).case
         else:
-            case = simulate_case(scenario_for(s))
+            case = simulate_case(sc)
             save_case(path, case)
         if args.grd_out:
             write_grd(args.grd_out, case.delta_w)
     if args.decoder_out:
-        save_decoder(args.decoder_out, initial_state(scenario_for(seed)))
+        save_decoder(args.decoder_out, initial_state(scenarios[0]))
     for p in paths:
         print(p)
     return 0

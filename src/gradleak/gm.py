@@ -201,6 +201,13 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
     the summed decoder gradient of `labels` at `context`, one row per label.
     `fields` are GMProblem's optional fields (bow, lam, max_steps)."""
     h = as_matrix(context, "context vectors")
+    # refused here in the caller's terms; projection_grad speaks of latents
+    if np.shape(labels) != (h.shape[0],):
+        raise ValueError(f"need one label per context vector, got {np.shape(labels)} "
+                         f"for {h.shape[0]} context vectors")
+    if h.shape[1] != decoder.d_a:
+        raise ValueError(f"context vectors have dimension {h.shape[1]}, "
+                         f"the decoder's d_A is {decoder.d_a}")
     _, g = projection_grad(h, labels, decoder)
     return GMProblem(target_grad=h.T @ g, decoder=decoder, s=len(labels), **fields)
 

@@ -17,6 +17,11 @@ EPS = float(np.finfo(np.float64).eps)
 
 JACOBI_SWEEP_CAP = 100
 JACOBI_ROTATION_TOL = 1e-12
+# The rank probe's pivot cap is n // LOW_RANK_CAP_DIVISOR.  The low-rank basis
+# change costs ~4 rows n r flops (two thin products), the full one 2 rows n^2
+# plus eigh's O(n^3); at r = n/4 the thin products are half the full one's
+# gemm, which leaves the probe and the n x r QR room to pay for themselves.
+LOW_RANK_CAP_DIVISOR = 4
 
 
 class SvdConvergenceError(RuntimeError):
@@ -82,6 +87,85 @@ def _round_robin(n: int):
     return tuple((p[h < n], h[h < n]) for p, h in zip(lo, hi))
 
 
+def _rank_probe(gram: np.ndarray, cap: int) -> np.ndarray | None:
+    """Pivots of a greedy pivoted Cholesky of the Gram matrix `gram`.
+
+    Each step takes the largest remaining Schur-complement diagonal as the
+    next pivot; the probe stops once that diagonal is at or below
+    n * EPS * max(diag(gram)) and returns the pivots taken, in order.
+    Returns None when `cap` pivots leave a diagonal above that cut.
+    """
+    n = gram.shape[0]
+    diag = gram.diagonal().copy()
+    stop = n * EPS * diag.max()
+    factor = np.empty((cap, n))  # row k: the factor's k-th column
+    pivots = np.empty(cap, dtype=np.intp)
+    for k in range(cap):
+        p = int(diag.argmax())
+        if diag[p] <= stop:
+            return pivots[:k]
+        col = factor[k]
+        np.dot(factor[:k, p], factor[:k], out=col)
+        np.subtract(gram[p], col, out=col)
+        col /= np.sqrt(diag[p])
+        diag -= col * col
+        diag[p] = 0.0
+        pivots[k] = p
+    return None
+
+
+def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthogonal basis v for the columns of `work` (big x n), returned
+    as (work @ v, v).
+
+    v is the rank probe's low-rank basis or the full Gram eigenbasis
+    (largest first), as :func:`svd` describes, or the identity if eigh
+    fails.  The sweeps decide every rotation and the rank from there, so
+    v only has to be orthogonal.
+    """
+    n = work.shape[1]
+    gram = work.T @ work
+    pivots = None
+    if np.isfinite(gram).all():  # an overflowed Gram goes to eigh, as always
+        pivots = _rank_probe(gram, n // LOW_RANK_CAP_DIVISOR)
+    if pivots is None:
+        try:
+            _, pre = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError:
+            return work, np.eye(n)
+        pre = np.ascontiguousarray(pre[:, ::-1])
+        return work @ pre, pre
+
+    r = pivots.size
+    # raw mode returns LAPACK's reflectors transposed: row j of `h` holds
+    # reflector j past its diagonal entry, which is implicitly 1
+    h, tau = np.linalg.qr(gram[:, pivots], mode="raw")
+    del gram  # not held through the rows x n product below
+    vt = np.triu(h, 1)
+    vt[np.arange(r), np.arange(r)] = 1.0
+    # T upper triangular with H_1 ... H_r = I - V T V^T (LAPACK's dlarft)
+    t = np.zeros((r, r))
+    cross = vt @ vt.T
+    for j in range(r):
+        t[:j, j] = -tau[j] * (t[:j, :j] @ cross[:j, j])
+        t[j, j] = tau[j]
+    tvt = t @ vt
+    v = np.eye(n)
+    v -= vt.T @ tvt
+    # work @ Q written into the product's buffer: two rows x n arrays at
+    # most, and the older one is freed, which leaves the allocator less
+    # resident memory than updating `work` in place
+    prod = (work @ vt.T) @ tvt
+    work = np.subtract(work, prod, out=prod)
+    # the live columns onto their own Gram eigenbasis, largest first
+    head = work[:, :r]
+    _, turn = np.linalg.eigh(head.T @ head)
+    turn = turn[:, ::-1]
+    work[:, :r] = head @ turn
+    v[:, :r] = v[:, :r] @ turn
+    return work, v
+
+
 def svd(m) -> SvdResult:
     """One-sided Jacobi SVD of a dense real matrix.
 
@@ -90,6 +174,18 @@ def svd(m) -> SvdResult:
     Convergence requires |<u, v>| <= JACOBI_ROTATION_TOL * |u| |v| for every
     pair of columns over a full sweep.  Raises :class:`SvdConvergenceError`
     with the sweep count if JACOBI_SWEEP_CAP sweeps are exhausted first.
+
+    The sweeps start from an orthogonal basis that leaves them little to
+    rotate (:func:`_precondition`).  A rank probe, greedy pivoted Cholesky
+    on the n x n Gram matrix, stops once the largest remaining pivot is at
+    or below n * EPS * max(diag), or after n // LOW_RANK_CAP_DIVISOR pivots.
+    If it stopped first, at r pivots, the basis is the Householder QR basis
+    of the Gram's r pivoted columns, applied in compact WY form, with its
+    first r columns turned onto their own r x r Gram eigenbasis: O(rows n r)
+    work for a rank-r update, where the full Gram eigenbasis costs
+    O(rows n^2 + n^3).  A full-rank update, or one whose probe reaches the
+    cap, takes the full Gram eigenbasis.  Only the sweeps below decide
+    which columns are live and how each pair turns.
 
     Columns whose norm falls below default_rank_tol(rows, cols) relative to the
     largest are numerically null: their singular values are the computed
@@ -107,19 +203,7 @@ def svd(m) -> SvdResult:
     v = np.eye(n)
 
     if n > 1:
-        # precondition with the Gram eigenbasis: an exact orthogonal change of
-        # basis that leaves only eps-level off-diagonal mass for the sweeps to
-        # clean up; the rotations below still decide convergence and restore
-        # the small-singular-value accuracy the squared Gram cannot represent
-        try:
-            _, pre = np.linalg.eigh(work.T @ work)
-        except np.linalg.LinAlgError:
-            pre = None
-        if pre is not None:
-            pre = np.ascontiguousarray(pre[:, ::-1])
-            work = work @ pre
-            v = pre.copy()
-
+        work, v = _precondition(work)
         rounds = _round_robin(n)
         # pairs at or below half the rotation tolerance are screened out per
         # sweep via the Gram matrix; the margin absorbs dot-product rounding

@@ -156,6 +156,19 @@ def test_simulate_refuses_a_non_finite_lr(tmp_path, capsys):
         assert os.listdir(tmp_path) == []
 
 
+def test_simulate_count_refuses_before_making_the_directory(tmp_path, capsys):
+    # a refused scenario, or a seed past 2^64 - 1 on a later case, leaves
+    # no --out directory behind
+    out = str(tmp_path / "cases")
+    assert main(["simulate", "--mode", "multistep", "--n", "2", "--k", "2", "--d", "6",
+                 "--classes", "5", "--lr", "nan", "--count", "3", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: learning rate nan must be finite and positive\n"
+    assert main(["simulate", "--mode", "batch", "--n", "2", "--d", "6", "--classes", "5",
+                 "--seed", str(2 ** 64 - 2), "--count", "3", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be an unsigned 64-bit integer\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_attack_rlg_with_true_s_and_report_fields(tmp_path):
     out_dir = str(tmp_path / "cases")
     report = str(tmp_path / "report.json")

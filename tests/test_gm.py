@@ -162,6 +162,16 @@ def test_make_problem_refuses_labels_outside_the_classes():
             make_problem(dec, context, [bad, 1, 2])
 
 
+def test_make_problem_names_the_context_vectors_it_refuses():
+    dec = small_decoder()
+    with pytest.raises(ValueError, match=r"^need one label per context vector, "
+                                         r"got \(3,\) for 2 context vectors$"):
+        make_problem(dec, np.zeros((2, 5)), [1, 2, 3])
+    with pytest.raises(ValueError, match="^context vectors have dimension 4, "
+                                         "the decoder's d_A is 5$"):
+        make_problem(dec, np.zeros((3, 4)), [1, 2, 3])
+
+
 def test_singleton_search_space():
     dec = small_decoder(seed=11)
     rng = np.random.default_rng(12)

@@ -6,6 +6,7 @@ from gradleak.bench import _capture
 from gradleak.defense import DefenseSpec, apply_defense
 from gradleak.linalg import (SvdConvergenceError, _round_robin, as_matrix,
                              default_rank_tol, numeric_rank, svd)
+from gradleak.simulator import Scenario, simulate_case
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -197,6 +198,70 @@ def test_svd_matches_lapack_accurate_jacobi():
     assert checked == 72
 
 
+def _wide_capture(seed, latent):
+    return simulate_case(Scenario(d=512, classes=2000, mode="batch", n=16,
+                                  latent=latent, seed=seed)).delta_w
+
+
+def _graded_rank6():
+    # rank 6 with singular values from 1 down to 1e-9: the last two lie below
+    # the rank probe's stop, sqrt(n eps) = 1.5e-7, yet above the null cut
+    rng = np.random.default_rng(61)
+    u, _ = np.linalg.qr(rng.normal(size=(96, 6)))
+    w, _ = np.linalg.qr(rng.normal(size=(400, 6)))
+    return (u * np.logspace(0, -9, 6)) @ w.T
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _wide_capture(1201, "tanh"), id="wide-tanh"),
+    pytest.param(lambda: _wide_capture(1202, "relu"), id="wide-relu"),
+    pytest.param(lambda: _wide_capture(77, "gauss"), id="wide-gauss"),
+    pytest.param(_graded_rank6, id="graded-rank6"),
+])
+def test_svd_matches_lapack_accurate_jacobi_on_the_low_rank_basis(make):
+    # updates that take the rank probe's Householder basis, against dgejsv
+    # as in the sweep-style test above
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    m = make()
+    got = svd(m)
+    sva, _, _, work, _, info = lapack.dgejsv(m.T, jobu=3, jobv=3)
+    assert info == 0
+    want = sva * work[0] / work[1]
+    assert numeric_rank(want, default_rank_tol(*m.shape)) == got.rank
+    assert got.rank == (16 if m.shape == (512, 2000) else 6)
+    live = slice(0, got.rank)
+    assert np.abs(got.singular[live] - want[live]).max() <= 1e-13 * want[0]
+
+
+@pytest.mark.parametrize("low_rank", [True, False])
+def test_precondition_is_an_orthogonal_change_of_basis(low_rank, monkeypatch):
+    rng = np.random.default_rng(31)
+    n = 96
+    if low_rank:
+        a = rng.normal(size=(400, 6)) @ rng.normal(size=(6, n))
+    else:
+        a = rng.normal(size=(400, n))
+    # the path shows in the shape of every matrix handed to eigh
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
+    work, v = linalg._precondition(a.copy())
+    norm = np.linalg.norm(a, 2)
+    assert np.abs(v.T @ v - np.eye(n)).max() <= n * linalg.EPS
+    assert np.abs(work - a @ v).max() <= 4 * linalg.EPS * norm
+    if low_rank:
+        # the Householder basis, its 6 live columns turned by their own
+        # 6 x 6 eigenbasis; the other 90 hold rounding only
+        assert shapes == [(6, 6)]
+        assert np.linalg.norm(work[:, 6:], axis=0).max() <= n * linalg.EPS * norm
+    else:
+        # the full Gram eigenbasis, largest first, as the sweeps always had
+        assert shapes == [(n, n)]
+        _, pre = np.linalg.eigh(a.T @ a)
+        pre = np.ascontiguousarray(pre[:, ::-1])
+        assert v.tobytes() == pre.tobytes()
+        assert work.tobytes() == (a @ pre).tobytes()
+
+
 def _round_robin_by_lists(n):
     # the circle method written out seat by seat, as the reference schedule
     players = list(range(n)) + ([-1] if n % 2 else [])
@@ -228,15 +293,14 @@ def test_round_robin_matches_list_schedule():
 def _full_gram_svd(m):
     """`svd` as it was with the full n x n Gram per sweep, dead rows and
     columns zeroed: the reference that the live-column sweeps must match bit
-    for bit.  Returns the result and the number of sweeps that rotated."""
+    for bit.  It shares `svd`'s preconditioner, which the sweeps start from.
+    Returns the result and the number of sweeps that rotated."""
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
     work = np.array(a.T if transposed else a)
     n = work.shape[1]
-    _, pre = np.linalg.eigh(work.T @ work)
-    pre = np.ascontiguousarray(pre[:, ::-1])
-    work, v = work @ pre, pre.copy()
+    work, v = linalg._precondition(work)
     null_cut = default_rank_tol(rows, cols)
     for sweep in range(linalg.JACOBI_SWEEP_CAP):
         gram = work.T @ work

@@ -18,6 +18,6 @@ from .rlg import (DegenerateUpdateError, LabelSetPrediction, LpPivotLimitError,
                   LpSingularBasisError, RankAssumptionError, RlgConfig, extract_q,
                   lp_feasible, lp_separator, rlg_attack, screen)
 from .simulator import (GradientCase, Scenario, ToyDecoder, initial_state,
-                        projection_grad, sample_latents, simulate_case)
+                        logit_grad, sample_latents, simulate_case)
 
 __version__ = "0.1.0"

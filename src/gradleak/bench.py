@@ -20,7 +20,7 @@ from .linalg import svd
 from .metrics import length_error, set_score
 from .rlg import RlgConfig, rlg_attack
 from .simulator import (LATENT_KINDS, Scenario, ToyDecoder, has_sign_structure,
-                        projection_grad, sample_latents, simulate_case)
+                        logit_grad, sample_latents, simulate_case)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def sign_structure() -> CriterionResult:
     for kind, count in zip(LATENT_KINDS, counts):
         h = sample_latents(rng, count, d, kind)
         y = rng.integers(0, classes, size=count)
-        _, g = projection_grad(h, y, layer)
+        g = logit_grad(h, y, layer)
         ok = ok and has_sign_structure(g, y)
         checked += count
     return CriterionResult("criterion-1 sign structure", ok,

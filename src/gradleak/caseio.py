@@ -1,32 +1,43 @@
 """File formats and atomic writers.
 
-Every stored matrix has one payload: little-endian float64 values in
-row-major order, with the shape declared beside it.  A load checks the byte
-count against that shape and passes the matrix through `as_matrix`, so a
-write/read cycle reproduces every entry bit for bit and a file holding NaN,
-Inf or an empty dimension is refused with its path.  A case loaded with a
-replacement update (`load_case(path, update)`) is checked the same way in
-everything but its stored update, which is never decoded: that must still be
-a string with the length of the base64 text of a d x C payload, and the
+Case and decoder files (version 3) are one binary container each, laid out
+as `.npy` files (NEP 1) and safetensors are:
+
+    MAGIC (4 bytes, 0x93 "GLK")
+    the header's length, a little-endian uint64
+    the header, UTF-8 JSON
+    each array's payload, in the header's order
+
+The header holds `version`, `kind` ("case" or "decoder"), the file's other
+fields, and `arrays`, the name and shape of each stored matrix in payload
+order; those shapes must be the ones the other fields declare.  A payload
+is a matrix's little-endian float64 values in row-major order.  A load
+checks that the file holds exactly the bytes its header's shapes need, reads each payload straight into its array and passes it
+through `as_matrix`, so a write/read cycle reproduces every entry bit for
+bit and a file holding NaN, Inf or an empty dimension is refused with its
+path.  A case loaded with a replacement update (`load_case(path, update)`)
+is checked the same way in everything but its stored update, which is
+never read: the file must still have the size its header declares, and the
 replacement must have the declared shape.
 
-CaseFile (JSON, version 2): d, C, the scenario, the update matrix as the
-base64 text of its payload, ground truth (the label list, in generation
-order), an optional defense record, and an optional id-to-token vocabulary.
-A case is refused with its path when `Scenario.check_case` refuses it: the
-scenario's d or classes differs from the declared d or C, the ground truth
-holds other than the scenario's n*k labels, a label lies outside [0, C), or
-the labels differ from the scenario's fixed ones.  `save_case` refuses, with
-the same message less the path, every case that `load_case` would refuse,
-so it writes no file that cannot be read back.
+Case header: d, C, the scenario, ground truth (the label list, in generation
+order), an optional defense record and an optional id-to-token vocabulary;
+one array, `delta_w` (d x C).  A case is refused with its path when
+`Scenario.check_case` refuses it: the scenario's d or classes differs from
+the declared d or C, the ground truth holds other than the scenario's n*k
+labels, a label lies outside [0, C), or the labels differ from the
+scenario's fixed ones.  `save_case` refuses, with the same message less the
+path, every case that `load_case` would refuse, so it writes no file that
+cannot be read back.
 
-Decoder file (JSON, version 2): d_a, classes, and `w` (d_a x classes), `b`
-(classes) and, when present, `pos` (max_len x classes) as base64 payloads.
+Decoder header: d_a and classes; arrays `w` (d_a x classes), `b`
+(1 x classes) and, when present, `pos` (max_len x classes).
 
-A case or decoder file of any other version is refused with its path.
+A case or decoder file of any other version is refused with its path; the
+JSON documents of earlier releases are refused by the version they state.
 
-The .grd sidecar is the raw payload behind a header: magic "GRD1" and
-little-endian uint32 d and C.
+The .grd sidecar is the payload of one matrix behind a header: magic "GRD1"
+and little-endian uint32 d and C.
 
 ReportFile (JSON): one entry per attacked case plus aggregate means that are
 recomputable from the per-case entries.
@@ -34,8 +45,6 @@ recomputable from the per-case entries.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import dataclasses
 import json
 import math
@@ -53,9 +62,11 @@ from .defense import DefenseSpec
 from .linalg import as_matrix
 from .simulator import GradientCase, Scenario, ToyDecoder
 
-CASE_VERSION = 2
-DECODER_VERSION = 2
+MAGIC = b"\x93GLK"
+VERSION = 3
 GRD_MAGIC = b"GRD1"
+# the name each decoder array goes by in an error
+_DECODER_NAMES = {"w": "decoder weights", "b": "decoder bias", "pos": "decoder positional offsets"}
 
 
 @dataclass(frozen=True)
@@ -66,9 +77,10 @@ class CaseFile:
     defense_applied: Optional[DefenseSpec] = None
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write through a temp file and a rename.  The file gets the mode a plain
-    write would leave: an existing target's own, else 0o666 less the umask."""
+def _atomic_write_bytes(path: str, *chunks) -> None:
+    """Write `chunks` (bytes-like) through a temp file and a rename.  The file
+    gets the mode a plain write would leave: an existing target's own, else
+    0o666 less the umask."""
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -79,7 +91,7 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
             os.fchmod(fh.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
@@ -93,21 +105,11 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 @contextmanager
-def _document(path: str, kind: str, version: int):
-    """The JSON document at `path`, for the `with` body to read, once its
-    version is checked to be `version`.  Text that is not JSON,
-    another version, a missing key, a value of the wrong type and any
-    ValueError the body raises all come out as one ValueError naming the
-    file."""
+def _named(path: str):
+    """A missing key, a value of the wrong type and any ValueError that the
+    `with` body raises come out as one ValueError naming the file."""
     try:
-        # no newline translation: raw CR and LF are whitespace outside JSON
-        # strings and invalid inside them, so translating them changes nothing
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            doc = json.load(fh)
-        got = doc.get("version")
-        if got != version:
-            raise ValueError(f"unrecognized {kind} version {got!r}")
-        yield doc
+        yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, AttributeError) as exc:
@@ -116,145 +118,154 @@ def _document(path: str, kind: str, version: int):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _payload(a: np.ndarray) -> bytes:
-    """The stored form of a matrix: little-endian float64, row-major."""
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _check_version(doc: dict, kind: str, version: int) -> None:
+    got = doc.get("version")
+    if got != version:
+        raise ValueError(f"unrecognized {kind} version {got!r}")
 
 
-def _from_payload(raw, shape: tuple[int, int], name: str) -> np.ndarray:
-    """The matrix of `shape` stored in `raw`, as a writable native float64
-    copy checked by `as_matrix`."""
-    need = 8 * math.prod(shape)
-    if len(raw) != need:
-        raise ValueError(f"{name} payload holds {len(raw)} bytes, shape {shape} needs {need}")
-    # frombuffer alone is a read-only view of `raw`
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return as_matrix(flat.reshape(shape), name)
+def _save(path: str, kind: str, fields: dict, arrays: dict) -> None:
+    """Write a `kind` container: `fields` and the arrays' shapes in the
+    header, then each array's payload."""
+    payloads = {name: np.ascontiguousarray(a, dtype="<f8") for name, a in arrays.items()}
+    raw = json.dumps({"version": VERSION, "kind": kind, **fields,
+                      "arrays": {name: list(a.shape) for name, a in payloads.items()}}).encode()
+    _atomic_write_bytes(path, MAGIC, struct.pack("<Q", len(raw)), raw, *payloads.values())
 
 
-def _to_text(a: np.ndarray) -> str:
-    return base64.b64encode(_payload(a)).decode("ascii")
+def _check_size(fh, shapes: dict) -> None:
+    """Refuse the file open in `fh` unless the rest of it holds exactly the
+    payloads of the matrices `shapes` declares by name."""
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    need = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if have != need:
+        raise ValueError(f"{' + '.join(shapes)} payload holds {have} bytes, "
+                         f"shape {' + '.join(map(str, shapes.values()))} needs {need}")
 
 
-def _check_text(text, shape: tuple[int, int], name: str) -> None:
-    """Check that `text` has the length of the base64 text of a `shape`
-    payload, without decoding it."""
-    if not isinstance(text, str):
-        raise TypeError(f"{name} must be base64 text, got {type(text).__name__}")
-    need = 4 * -(-8 * math.prod(shape) // 3)
-    if len(text) != need:
-        raise ValueError(f"{name} text holds {len(text)} characters, shape {shape} needs {need}")
+def _read_matrix(fh, shape: tuple[int, int], name: str) -> np.ndarray:
+    """The next payload in `fh`, read straight into a fresh writable
+    `shape` matrix and checked by `as_matrix`."""
+    a = np.empty(shape, dtype="<f8")
+    got = fh.readinto(a)
+    if got != a.nbytes:
+        raise ValueError(f"{name} payload holds {got} bytes, shape {shape} needs {a.nbytes}")
+    return as_matrix(a, name)
 
 
-def _from_text(text: str, shape: tuple[int, int], name: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"{name} is not base64 text ({exc})") from exc
-    return _from_payload(raw, shape, name)
+def _header(fh, kind: str) -> tuple[dict, dict]:
+    """The header of the version-3 `kind` container open in `fh`, and its
+    matrices' shapes by name; `fh` is left at the first payload."""
+    lead = fh.read(12)
+    if lead[:4] != MAGIC:
+        # the JSON documents of earlier releases are refused by their version
+        try:
+            doc = json.loads(lead + fh.read())
+        except ValueError:
+            raise ValueError(f"not a {kind} file (magic {lead[:4]!r})") from None
+        raise ValueError(f"unrecognized {kind} version {doc.get('version')!r}")
+    if len(lead) < 12:
+        raise ValueError(f"truncated header ({len(lead)} of 12 bytes)")
+    (size,) = struct.unpack_from("<Q", lead, 4)
+    if size > os.fstat(fh.fileno()).st_size - 12:
+        raise ValueError(f"truncated header (the file holds fewer than its {size} bytes)")
+    doc = json.loads(fh.read(size))
+    _check_version(doc, kind, VERSION)
+    if doc["kind"] != kind:
+        raise ValueError(f"not a {kind} file (kind {doc['kind']!r})")
+    return doc, {str(name): (int(rows), int(cols)) for name, (rows, cols) in doc["arrays"].items()}
+
+
+def _check_arrays(fh, shapes: dict, declared: dict) -> None:
+    """Refuse the container open in `fh` at its first payload unless it
+    stores the `declared` shapes, and exactly their payloads."""
+    if shapes != declared:
+        raise ValueError(f"stored arrays {shapes} are not the declared {declared}")
+    _check_size(fh, shapes)
 
 
 def _scenario_from_dict(obj: dict) -> Scenario:
-    return Scenario(
-        d=int(obj["d"]), classes=int(obj["classes"]), mode=str(obj["mode"]),
-        n=int(obj["n"]), k=int(obj["k"]),
-        lrs=tuple(obj["lrs"]) if obj.get("lrs") is not None else None,
-        latent=str(obj["latent"]),
-        labels=tuple(obj["labels"]) if obj.get("labels") is not None else None,
-        seed=int(obj["seed"]),
-    )
+    # Scenario makes tuples of the lrs and labels lists
+    return Scenario(d=int(obj["d"]), classes=int(obj["classes"]), mode=str(obj["mode"]),
+                    n=int(obj["n"]), k=int(obj["k"]), lrs=obj.get("lrs"),
+                    latent=str(obj["latent"]), labels=obj.get("labels"), seed=int(obj["seed"]))
 
 
 def save_case(path: str, case: GradientCase,
               defense_applied: Optional[DefenseSpec] = None) -> None:
     delta_w = as_matrix(case.delta_w, "delta_w")
     case.scenario.check_case(delta_w.shape, case.true_labels)
-    doc = {
-        "version": CASE_VERSION,
-        "d": delta_w.shape[0],
-        "C": delta_w.shape[1],
-        "scenario": dataclasses.asdict(case.scenario),
-        "delta_w": _to_text(delta_w),
-        "ground_truth": {"labels": list(case.true_labels)},
-    }
+    fields = {"d": delta_w.shape[0], "C": delta_w.shape[1],
+              "scenario": dataclasses.asdict(case.scenario),
+              "ground_truth": {"labels": list(case.true_labels)}}
     if defense_applied is not None:
-        doc["defense_applied"] = dataclasses.asdict(defense_applied)
+        fields["defense_applied"] = dataclasses.asdict(defense_applied)
     if case.vocab is not None:
-        doc["vocab"] = {str(k): v for k, v in case.vocab.items()}
-    write_json_atomic(path, doc)
+        fields["vocab"] = {str(k): v for k, v in case.vocab.items()}
+    _save(path, "case", fields, {"delta_w": delta_w})
 
 
 def load_case(path: str, update: Optional[np.ndarray] = None) -> CaseFile:
     """The case stored at `path`.  Given `update` (a checked matrix, such as
     `read_grd` returns), the case carries that matrix in place of its stored
-    update: the stored text is checked for length but never decoded, and
-    `update` must have the declared shape (d, C)."""
-    with _document(path, "case", CASE_VERSION) as doc:
+    update: only the header is read, the file's size is checked against it,
+    and `update` must have the declared shape (d, C)."""
+    with _named(path), open(path, "rb") as fh:
+        doc, shapes = _header(fh, "case")
         shape = (int(doc["d"]), int(doc["C"]))
-        if update is None:
-            delta_w = _from_text(doc["delta_w"], shape, "delta_w")
-        else:
-            _check_text(doc["delta_w"], shape, "delta_w")
-            delta_w = update
+        _check_arrays(fh, shapes, {"delta_w": shape})
         scenario = _scenario_from_dict(doc["scenario"])
         labels = tuple(int(y) for y in doc["ground_truth"]["labels"])
         scenario.check_case(shape, labels)
-        vocab = None
-        if doc.get("vocab") is not None:
-            vocab = {int(k): str(v) for k, v in doc["vocab"].items()}
-        case = GradientCase(scenario=scenario, delta_w=delta_w, true_labels=labels, vocab=vocab)
-        defense = None
-        if doc.get("defense_applied") is not None:
-            spec = doc["defense_applied"]
-            defense = DefenseSpec(kind=str(spec["kind"]), rate=float(spec.get("rate", 0.0)))
-    # raised outside the document block: the replacement, not the file, is at fault
+        vocab, spec = doc.get("vocab"), doc.get("defense_applied")
+        if vocab is not None:
+            vocab = {int(k): str(v) for k, v in vocab.items()}
+        if spec is not None:
+            spec = DefenseSpec(kind=str(spec["kind"]), rate=float(spec.get("rate", 0.0)))
+        delta_w = _read_matrix(fh, shape, "delta_w") if update is None else update
+    # raised outside the file block: the replacement, not the file, is at fault
     if delta_w.shape != shape:
         raise ValueError(f"--delta-grd update shape {delta_w.shape} does not "
                          f"match case update {shape}")
-    return CaseFile(case=case, defense_applied=defense)
+    case = GradientCase(scenario=scenario, delta_w=delta_w, true_labels=labels, vocab=vocab)
+    return CaseFile(case=case, defense_applied=spec)
 
 
 def write_grd(path: str, delta_w) -> None:
     a = as_matrix(delta_w, "delta_w")
-    _atomic_write_bytes(path, GRD_MAGIC + struct.pack("<II", *a.shape) + _payload(a))
+    _atomic_write_bytes(path, GRD_MAGIC + struct.pack("<II", *a.shape),
+                        np.ascontiguousarray(a, dtype="<f8"))
 
 
 def read_grd(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        if blob[:4] != GRD_MAGIC:
+    with _named(path), open(path, "rb") as fh:
+        lead = fh.read(12)
+        if lead[:4] != GRD_MAGIC:
             raise ValueError("bad magic, not a .grd file")
-        if len(blob) < 12:
-            raise ValueError(f"truncated .grd header ({len(blob)} of 12 bytes)")
-        shape = struct.unpack_from("<II", blob, 4)
-        return _from_payload(memoryview(blob)[12:], shape, "delta_w")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        if len(lead) < 12:
+            raise ValueError(f"truncated .grd header ({len(lead)} of 12 bytes)")
+        shape = struct.unpack_from("<II", lead, 4)
+        _check_size(fh, {"delta_w": shape})
+        return _read_matrix(fh, shape, "delta_w")
 
 
 def save_decoder(path: str, decoder: ToyDecoder) -> None:
-    doc = {
-        "version": DECODER_VERSION,
-        "d_a": decoder.d_a,
-        "classes": decoder.classes,
-        "w": _to_text(decoder.w),
-        "b": _to_text(decoder.b),
-    }
+    arrays = {"w": decoder.w, "b": decoder.b[None, :]}
     if decoder.pos is not None:
-        doc["max_len"] = decoder.pos.shape[0]
-        doc["pos"] = _to_text(decoder.pos)
-    write_json_atomic(path, doc)
+        arrays["pos"] = decoder.pos
+    _save(path, "decoder", {"d_a": decoder.d_a, "classes": decoder.classes}, arrays)
 
 
 def load_decoder(path: str) -> ToyDecoder:
-    with _document(path, "decoder", DECODER_VERSION) as doc:
+    with _named(path), open(path, "rb") as fh:
+        doc, shapes = _header(fh, "decoder")
         c = int(doc["classes"])
-        pos = None
-        if doc.get("pos") is not None:
-            pos = _from_text(doc["pos"], (int(doc["max_len"]), c), "decoder positional offsets")
-        return ToyDecoder(w=_from_text(doc["w"], (int(doc["d_a"]), c), "decoder weights"),
-                          b=_from_text(doc["b"], (1, c), "decoder bias")[0], pos=pos)
+        declared = {"w": (int(doc["d_a"]), c), "b": (1, c)}
+        if "pos" in shapes:
+            declared["pos"] = (shapes["pos"][0], c)
+        _check_arrays(fh, shapes, declared)
+        m = {name: _read_matrix(fh, shape, _DECODER_NAMES[name]) for name, shape in shapes.items()}
+        return ToyDecoder(w=m["w"], b=m["b"][0], pos=m.get("pos"))
 
 
 def aggregate_report(per_case: list[dict]) -> dict:
@@ -286,7 +297,12 @@ def save_report(path: str, per_case: list[dict], config: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with _document(path, "report", 1) as doc:
+    with _named(path):
+        # no newline translation: raw CR and LF are whitespace outside JSON
+        # strings and invalid inside them, so translating them changes nothing
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            doc = json.load(fh)
+        _check_version(doc, "report", 1)
         if not isinstance(doc["per_case"], list) or not isinstance(doc["aggregate"], dict):
             raise TypeError("per_case must be a list and aggregate an object")
         # reads every score key of every scored entry, so a missing one is named

@@ -163,7 +163,7 @@ def _attack_one(path: str, args) -> dict:
     start = time.perf_counter()
     entry: dict = {"case_id": path, "attack": args.attack}
     try:
-        # the sidecar replaces the stored update, which is then never decoded
+        # the sidecar replaces the stored update, which is then never read
         update = read_grd(args.delta_grd) if args.delta_grd else None
         case = load_case(path, update).case
         if args.attack == "rlg":

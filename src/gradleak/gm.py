@@ -41,7 +41,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .metrics import wer
-from .simulator import ToyDecoder, _softmax_rows, projection_grad
+from .simulator import ToyDecoder, _softmax_rows, logit_grad
 
 LR_INIT = 0.05
 LR_HALVE_EVERY = 4000
@@ -201,15 +201,15 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
     the summed decoder gradient of `labels` at `context`, one row per label.
     `fields` are GMProblem's optional fields (bow, lam, max_steps)."""
     h = as_matrix(context, "context vectors")
-    # refused here in the caller's terms; projection_grad speaks of latents
+    # refused here in the caller's terms; logit_grad speaks of latents
     if np.shape(labels) != (h.shape[0],):
         raise ValueError(f"need one label per context vector, got {np.shape(labels)} "
                          f"for {h.shape[0]} context vectors")
     if h.shape[1] != decoder.d_a:
         raise ValueError(f"context vectors have dimension {h.shape[1]}, "
                          f"the decoder's d_A is {decoder.d_a}")
-    _, g = projection_grad(h, labels, decoder)
-    return GMProblem(target_grad=h.T @ g, decoder=decoder, s=len(labels), **fields)
+    return GMProblem(target_grad=h.T @ logit_grad(h, labels, decoder), decoder=decoder,
+                     s=len(labels), **fields)
 
 
 def _distance(a: np.ndarray, p: np.ndarray, prob: GMProblem) -> tuple[float, float]:

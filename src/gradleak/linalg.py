@@ -8,7 +8,7 @@ freshly allocated and never aliased to the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -114,9 +114,9 @@ def _rank_probe(gram: np.ndarray, cap: int) -> np.ndarray | None:
     return None
 
 
-def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """An orthogonal basis v for the columns of `work` (big x n), returned
-    as (work @ v, v).
+    as (work @ v, v), or None when the Gram matrix overflows.
 
     v is the rank probe's low-rank basis or the full Gram eigenbasis
     (largest first), as :func:`svd` describes, or the identity if eigh
@@ -124,10 +124,11 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v only has to be orthogonal.
     """
     n = work.shape[1]
-    gram = work.T @ work
-    pivots = None
-    if np.isfinite(gram).all():  # an overflowed Gram goes to eigh, as always
-        pivots = _rank_probe(gram, n // LOW_RANK_CAP_DIVISOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = work.T @ work
+    if not np.isfinite(gram).all():
+        return None
+    pivots = _rank_probe(gram, n // LOW_RANK_CAP_DIVISOR)
     if pivots is None:
         try:
             _, pre = np.linalg.eigh(gram)
@@ -194,16 +195,27 @@ def svd(m) -> SvdResult:
     reconstruction far less than the 1e-8 gate.  No pair holding a null
     column is rotated, so each sweep screens its pairs with the Gram matrix
     of the live columns alone (k x k for k live columns, not n x n).
+
+    A matrix whose Gram overflows (entries above ~1e154) is decomposed
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    and its singular values scaled back: a power-of-two scale is exact away
+    from underflow, and the factors and the rank do not depend on it.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
     work = np.array(a.T if transposed else a)  # tall copy, shape (big, n)
     n = work.shape[1]
-    v = np.eye(n)
 
+    # v comes from the preconditioner: an identity made up front would be
+    # held, unused, through its peak memory
     if n > 1:
-        work, v = _precondition(work)
+        pre = _precondition(work)
+        if pre is None:
+            exp = int(np.frexp(np.abs(a).max())[1])
+            res = svd(np.ldexp(a, -exp))
+            return replace(res, singular=np.ldexp(res.singular, exp))
+        work, v = pre
         rounds = _round_robin(n)
         # pairs at or below half the rotation tolerance are screened out per
         # sweep via the Gram matrix; the margin absorbs dot-product rounding
@@ -260,6 +272,8 @@ def svd(m) -> SvdResult:
                 v[:, qj] = s * vp + c * vq
         else:
             raise SvdConvergenceError(JACOBI_SWEEP_CAP)
+    else:  # one column, nothing to rotate
+        v = np.eye(1)
 
     sig = np.sqrt(np.einsum("ij,ij->j", work, work))
     order = np.argsort(-sig, kind="stable")

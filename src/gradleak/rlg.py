@@ -152,7 +152,9 @@ def extract_q(delta_w, cfg: RlgConfig = RlgConfig()) -> tuple[int, np.ndarray, i
     floor, and RankAssumptionError when the inferred S reaches min(d, C).
     """
     a = as_matrix(delta_w, "delta_w")
-    if float(np.linalg.norm(a)) < DEGENERATE_FLOOR:
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, far above the floor
+        norm = float(np.linalg.norm(a))
+    if norm < DEGENERATE_FLOOR:
         raise DegenerateUpdateError("degenerate update: Frobenius norm below 1e-30")
     d, c = a.shape
     res = svd(a)

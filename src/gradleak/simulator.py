@@ -8,9 +8,11 @@ contributing labels are known and every attack can be scored against them.
 
 The layer is :class:`ToyDecoder`, logits A W + b (plus optional
 per-position offsets).  It is the package's one projection-layer class:
-``initial_state`` returns it, ``projection_grad`` differentiates through its
-``logits``, and ``gm`` builds its known targets with ``projection_grad`` and
-reconstructs sequences through the same forward pass.
+``initial_state`` returns it, ``logit_grad`` differentiates through its
+``logits``, and ``gm`` builds its known targets with ``logit_grad`` and
+reconstructs sequences through the same forward pass.  Only
+``simulate_case`` forms an averaged update (H/n)^T G from the logit
+gradients G.
 
 PRNG contract: each case is a pure function of its scenario, drawn from a
 Philox counter-based stream keyed by the scenario seed.  Draw order is fixed:
@@ -204,13 +206,10 @@ def sample_latents(rng: np.random.Generator, count: int, d: int, kind: str) -> n
     return _LATENT_MAPS[kind](rng.standard_normal((count, d)))
 
 
-def projection_grad(h, labels, layer: ToyDecoder) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged projection-layer weight update for latent rows `h`.
-
-    Row i of the returned G is the logit gradient of sample i at the given
-    layer; delta_w = (H/n)^T G where n = number of rows.  The bias gradient
-    is not produced (the attacks only consume delta_w).
-    """
+def logit_grad(h, labels, layer: ToyDecoder) -> np.ndarray:
+    """Cross-entropy logit gradients of latent rows `h` at `layer`: row i of
+    the returned G is softmax(z_i) - e_{labels[i]}, z_i the logits of row i.
+    The layer's weight update from these rows is (H/n)^T G."""
     h = as_matrix(h, "latents")
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 1 or y.shape[0] != h.shape[0]:
@@ -221,8 +220,7 @@ def projection_grad(h, labels, layer: ToyDecoder) -> tuple[np.ndarray, np.ndarra
         raise ValueError("labels out of range")
     g = _softmax_rows(layer.logits(h))
     g[np.arange(h.shape[0]), y] -= 1.0
-    delta_w = (h / h.shape[0]).T @ g
-    return delta_w, g
+    return g
 
 
 def has_sign_structure(g: np.ndarray, y) -> bool:
@@ -264,13 +262,13 @@ def simulate_case(sc: Scenario) -> GradientCase:
             y = np.asarray(sc.labels[step * sc.n:(step + 1) * sc.n], dtype=np.int64)
         else:
             y = rng.integers(0, sc.classes, size=sc.n)
-        step_dw, g = projection_grad(h, y, layer)
+        g = logit_grad(h, y, layer)
         if not has_sign_structure(g, y):  # generation-time invariant
             raise RuntimeError("generated logit gradients violate the "
                                "single-negative sign structure")
         hs = h / sc.n
         if sc.mode == "multistep":
-            layer = ToyDecoder(w=layer.w - sc.lrs[step] * step_dw, b=layer.b)
+            layer = ToyDecoder(w=layer.w - sc.lrs[step] * (hs.T @ g), b=layer.b)
             hs = sc.lrs[step] * hs
         h_blocks.append(hs)
         g_blocks.append(g)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradleak.caseio import (aggregate_report, load_case, load_decoder, load_report,
+from casefiles import edit_header, split, write
+from gradleak.caseio import (MAGIC, aggregate_report, load_case, load_decoder, load_report,
                              read_grd, save_case, save_decoder, save_report, write_grd)
 from gradleak.defense import DefenseSpec
 from gradleak.gm import ToyDecoder
@@ -34,11 +35,10 @@ def test_case_sequence_carries_ordered_ground_truth(tmp_path):
     case = simulate_case(Scenario(d=6, classes=5, mode="sequence", n=4, seed=8))
     path = tmp_path / "seq.json"
     save_case(str(path), case)
-    doc = json.loads(path.read_text())
+    doc, _ = split(path)
     assert doc["ground_truth"] == {"labels": list(case.true_labels)}
-    assert doc["version"] == 2
-    doc["ground_truth"]["sequence"] = list(case.true_labels)
-    path.write_text(json.dumps(doc))
+    assert doc["version"] == 3
+    edit_header(path, lambda doc: doc["ground_truth"].update(sequence=list(case.true_labels)))
     loaded = load_case(str(path)).case
     assert loaded.delta_w.tobytes() == case.delta_w.tobytes()
     assert loaded == dataclasses.replace(case, delta_w=loaded.delta_w)
@@ -53,34 +53,33 @@ def test_case_defense_and_vocab_round_trip(tmp_path):
     loaded = load_case(path)
     assert loaded.defense_applied == DefenseSpec(kind="drop", rate=0.5)
     assert loaded.case.vocab == {0: "a", 1: "b", 2: "c"}
+    assert loaded.case.delta_w.tobytes() == case.delta_w.tobytes()
+    assert loaded.case == dataclasses.replace(case, delta_w=loaded.case.delta_w)
 
 
 def test_case_rejects_bad_version_and_shape(tmp_path):
     case = simulate_case(Scenario(d=4, classes=3, mode="single", seed=1))
     path = str(tmp_path / "bad.json")
     save_case(path, case)
-    doc = json.loads(Path(path).read_text())
-    doc["version"] = 99
-    Path(path).write_text(json.dumps(doc))
+    edit_header(path, lambda doc: doc.update(version=99))
     with pytest.raises(ValueError):
         load_case(path)
-    doc["version"] = 2
-    doc["d"] = 5
-    Path(path).write_text(json.dumps(doc))
+    edit_header(path, lambda doc: doc.update(version=3, d=5))
     with pytest.raises(ValueError):
         load_case(path)
 
 
 def test_crlf_case_loads_to_the_same_matrix(tmp_path):
-    # CR and LF are whitespace between JSON tokens, so line endings never
-    # reach the base64 text
+    # the header is read as JSON, so a header laid out by another writer,
+    # indented with CRLF line endings, gives the same case
     case = edge_case()
     path = tmp_path / "case.json"
     save_case(str(path), case)
-    crlf = tmp_path / "crlf.json"
-    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert crlf.read_bytes().count(b"\r\n") > 10
-    loaded = load_case(str(crlf)).case
+    header, payload = split(path)
+    text = json.dumps(header, indent=2).replace("\n", "\r\n")
+    crlf = write(tmp_path / "crlf.json", header, payload, header_text=text)
+    assert Path(crlf).read_bytes().count(b"\r\n") > 10
+    loaded = load_case(crlf).case
     assert loaded.delta_w.tobytes() == case.delta_w.tobytes()
     assert loaded == dataclasses.replace(case, delta_w=loaded.delta_w)
 
@@ -135,9 +134,9 @@ def test_decoder_positional_offsets_round_trip(tmp_path):
     assert back.b.tobytes() == dec.b.tobytes()
 
     # a file written without offsets still loads, with none
-    doc = json.loads(Path(path).read_text())
-    del doc["pos"]
-    Path(path).write_text(json.dumps(doc))
+    header, payload = split(path)
+    assert header["arrays"].pop("pos") == [3, 4]
+    write(path, header, payload[:-8 * 3 * 4])
     assert load_decoder(path).pos is None
 
 
@@ -158,15 +157,16 @@ def edge_case():
     return GradientCase(scenario=sc, delta_w=edge_matrix(4, 5, 0), true_labels=(1, 3))
 
 
-def test_version_2_case_round_trip_is_bit_exact_on_edge_values(tmp_path):
+def test_case_round_trip_is_bit_exact_on_edge_values(tmp_path):
     case = edge_case()
     path = str(tmp_path / "edge.json")
     save_case(path, case)
-    doc = json.loads(Path(path).read_text())
-    assert doc["version"] == 2
-    # the same payload as the .grd sidecar, base64 encoded
+    doc, payload = split(path)
+    assert (doc["version"], doc["kind"], doc["arrays"]) == (3, "case", {"delta_w": [4, 5]})
+    assert "delta_w" not in doc  # no copy of the update in the header
+    # the same payload as the .grd sidecar
     write_grd(str(tmp_path / "edge.grd"), case.delta_w)
-    assert base64.b64decode(doc["delta_w"]) == (tmp_path / "edge.grd").read_bytes()[12:]
+    assert payload == (tmp_path / "edge.grd").read_bytes()[12:]
     loaded = load_case(path).case.delta_w
     assert loaded.tobytes() == case.delta_w.tobytes()
     assert loaded.dtype == np.float64 and loaded.dtype.isnative
@@ -175,12 +175,17 @@ def test_version_2_case_round_trip_is_bit_exact_on_edge_values(tmp_path):
 
 
 @pytest.mark.parametrize("with_pos", [True, False])
-def test_version_2_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with_pos):
+def test_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with_pos):
     dec = ToyDecoder(w=edge_matrix(3, 4, 1), b=edge_matrix(1, 4, 2)[0],
                      pos=edge_matrix(2, 4, 3) if with_pos else None)
     path = str(tmp_path / "dec.json")
     save_decoder(path, dec)
-    assert json.loads(Path(path).read_text())["version"] == 2
+    doc, payload = split(path)
+    arrays = {"w": [3, 4], "b": [1, 4], **({"pos": [2, 4]} if with_pos else {})}
+    assert (doc["version"], doc["kind"], doc["arrays"]) == (3, "decoder", arrays)
+    # each payload in header order, raw
+    stored = [dec.w, dec.b] + ([dec.pos] if with_pos else [])
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in stored)
     back = load_decoder(path)
     assert back.w.tobytes() == dec.w.tobytes()
     assert back.b.tobytes() == dec.b.tobytes()
@@ -190,28 +195,85 @@ def test_version_2_decoder_round_trip_is_bit_exact_on_edge_values(tmp_path, with
         assert back.pos is None
 
 
-def test_bad_version_2_payloads_name_the_file(tmp_path):
+def test_bad_payloads_name_the_file(tmp_path):
     case_path = str(tmp_path / "case.json")
     save_case(case_path, edge_case())
     dec_path = str(tmp_path / "dec.json")
     save_decoder(dec_path, ToyDecoder(w=np.ones((3, 4)), b=np.zeros(4), pos=np.ones((2, 4))))
-    nan = base64.b64encode(np.full(20, np.nan, dtype="<f8").tobytes()).decode()
-    short = base64.b64encode(np.ones(19, dtype="<f8").tobytes()).decode()
-    for path, key, text, cause in (
-            (case_path, "delta_w", short, "delta_w payload holds 152 bytes, shape (4, 5) needs 160"),
-            (case_path, "delta_w", "not base64!", "delta_w is not base64 text"),
-            (case_path, "delta_w", nan, "delta_w contains NaN or Inf entries"),
-            (dec_path, "w", short, "decoder weights payload holds 152 bytes"),
-            (dec_path, "b", "@@@@", "decoder bias is not base64 text"),
-            (dec_path, "pos", nan[:24],
-             "decoder positional offsets payload holds 18 bytes, shape (2, 4) needs 64")):
-        doc = json.loads(Path(path).read_text())
-        doc[key] = text
-        bad = str(tmp_path / f"bad-{key}.json")
-        Path(bad).write_text(json.dumps(doc))
+    nan = np.full(20, np.nan, dtype="<f8").tobytes()
+    nan_bias = np.r_[np.ones(12), np.nan, np.zeros(11)].astype("<f8").tobytes()
+
+    def keep(part):
+        return part
+
+    for path, header_edit, payload_edit, cause in (
+            (case_path, keep, lambda p: p[:-8],
+             "delta_w payload holds 152 bytes, shape (4, 5) needs 160"),
+            (case_path, keep, lambda p: p + bytes(8),
+             "delta_w payload holds 168 bytes, shape (4, 5) needs 160"),
+            (case_path, keep, lambda p: nan, "delta_w contains NaN or Inf entries"),
+            (case_path, lambda d: d["arrays"].update(delta_w=[5, 4]), keep,
+             "stored arrays {'delta_w': (5, 4)} are not the declared {'delta_w': (4, 5)}"),
+            (case_path, lambda d: d["arrays"].update(delta_w=[20]), keep,
+             "not enough values to unpack"),
+            (case_path, lambda d: d.pop("arrays"), keep, "missing key 'arrays'"),
+            (dec_path, keep, lambda p: p[:-8],
+             "w + b + pos payload holds 184 bytes, shape (3, 4) + (1, 4) + (2, 4) needs 192"),
+            (dec_path, keep, lambda p: nan_bias + p[len(nan_bias):],
+             "decoder bias contains NaN or Inf entries"),
+            (dec_path, lambda d: d["arrays"].update(pos=[4, 2]), keep,
+             "stored arrays {'w': (3, 4), 'b': (1, 4), 'pos': (4, 2)} are not the declared "
+             "{'w': (3, 4), 'b': (1, 4), 'pos': (4, 4)}")):
+        header, payload = split(path)
+        header_edit(header)
+        bad = write(tmp_path / "bad.json", header, payload_edit(payload))
         with pytest.raises(ValueError) as err:
             (load_case if path == case_path else load_decoder)(bad)
         assert str(err.value).startswith(f"{bad}: {cause}"), str(err.value)
+
+
+def test_malformed_containers_name_the_file(tmp_path):
+    case_path = str(tmp_path / "case.json")
+    save_case(case_path, edge_case())
+    dec_path = str(tmp_path / "dec.json")
+    save_decoder(dec_path, ToyDecoder(w=np.ones((3, 4)), b=np.zeros(4)))
+    blob = Path(case_path).read_bytes()
+    bad = tmp_path / "bad.json"
+    for data, cause in (
+            (b"NOPE" + blob[4:], "not a case file (magic b'NOPE')"),
+            (b"", "not a case file (magic b'')"),
+            (blob[:10], "truncated header (10 of 12 bytes)"),
+            (blob[:40], "truncated header (the file holds fewer than its"),
+            (MAGIC + struct.pack("<Q", 2 ** 63) + blob[12:],
+             "truncated header (the file holds fewer than its"),
+            (MAGIC + struct.pack("<Q", 2) + b"{]" + blob[12:], "Expecting property name"),
+            (Path(dec_path).read_bytes(), "not a case file (kind 'decoder')")):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_case(str(bad))
+        assert str(err.value).startswith(f"{bad}: {cause}"), str(err.value)
+    with pytest.raises(ValueError) as err:
+        load_decoder(case_path)
+    assert str(err.value) == f"{case_path}: not a decoder file (kind 'case')"
+
+
+def test_bad_version_2_payloads_name_the_file(tmp_path):
+    # the JSON documents of the previous release, with base64 payloads good
+    # or bad, are refused by the version they state, as version 1 is, and
+    # the error names the file
+    good = base64.b64encode(np.ones(6, dtype="<f8").tobytes()).decode()
+    nan = base64.b64encode(np.full(6, np.nan, dtype="<f8").tobytes()).decode()
+    for text in (good, good[:-4], "not base64!", nan):
+        for kind, load, doc in (
+                ("case", load_case, {"version": 2, "d": 2, "C": 3, "delta_w": text,
+                                     "scenario": {}, "ground_truth": {"labels": [0]}}),
+                ("decoder", load_decoder, {"version": 2, "d_a": 2, "classes": 3,
+                                           "w": text, "b": text[:12]})):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc, indent=2) + "\n")
+            with pytest.raises(ValueError) as err:
+                load(str(path))
+            assert str(err.value) == f"{path}: unrecognized {kind} version 2"
 
 
 def test_grd_errors_name_the_file_and_cause(tmp_path):
@@ -280,13 +342,16 @@ def test_every_loader_names_the_version_it_got(tmp_path):
     save_case(paths["case"], case)
     save_decoder(paths["decoder"], initial_state(case.scenario))
     save_report(paths["report"], [], config={})
-    # version 1, the nested-list case and decoder format, is refused like any other
-    for kind, load, version in (("case", load_case, 1), ("case", load_case, 3),
-                                ("decoder", load_decoder, 1), ("decoder", load_decoder, 3),
+    # a container stating any version but 3 is refused like any other
+    for kind, load, version in (("case", load_case, 2), ("case", load_case, 4),
+                                ("decoder", load_decoder, 1), ("decoder", load_decoder, 2),
                                 ("report", load_report, 3)):
-        doc = json.loads(Path(paths[kind]).read_text())
-        doc["version"] = version
-        Path(paths[kind]).write_text(json.dumps(doc))
+        if kind == "report":
+            doc = json.loads(Path(paths[kind]).read_text())
+            doc["version"] = version
+            Path(paths[kind]).write_text(json.dumps(doc))
+        else:
+            edit_header(paths[kind], lambda doc: doc.update(version=version))
         with pytest.raises(ValueError) as err:
             load(paths[kind])
         assert str(err.value) == f"{paths[kind]}: unrecognized {kind} version {version}"
@@ -297,8 +362,7 @@ def test_case_scenario_block_is_pinned(tmp_path):
                   latent="tanh", labels=(4, 0, 2, 2), seed=17)
     path = str(tmp_path / "multi.json")
     save_case(path, simulate_case(sc))
-    with open(path) as fh:
-        block = json.load(fh)["scenario"]
+    block = split(path)[0]["scenario"]
     assert list(block.items()) == [
         ("d", 5), ("classes", 6), ("mode", "multistep"), ("n", 2), ("k", 2),
         ("lrs", [0.1, 0.25]), ("latent", "tanh"), ("labels", [4, 0, 2, 2]), ("seed", 17)]
@@ -309,10 +373,7 @@ def _edited_batch_case(tmp_path, edit):
     # a saved 8x6, n=2 batch case whose document `edit` changes in place
     path = str(tmp_path / "case.json")
     save_case(path, simulate_case(Scenario(d=8, classes=6, mode="batch", n=2, seed=5)))
-    doc = json.loads(Path(path).read_text())
-    edit(doc)
-    Path(path).write_text(json.dumps(doc))
-    return path
+    return edit_header(path, edit)
 
 
 def test_case_refuses_a_scenario_of_another_shape(tmp_path):
@@ -347,9 +408,7 @@ def _fixed_sequence_case():
 def test_case_refuses_ground_truth_other_than_the_fixed_labels(tmp_path):
     path = tmp_path / "seq.json"
     save_case(str(path), _fixed_sequence_case())
-    doc = json.loads(path.read_text())
-    doc["ground_truth"]["labels"] = [5, 0, 0]
-    path.write_text(json.dumps(doc))
+    edit_header(path, lambda doc: doc["ground_truth"].update(labels=[5, 0, 0]))
     with pytest.raises(ValueError) as err:
         load_case(str(path))
     assert str(err.value) == (f"{path}: ground truth [5, 0, 0] is not the "

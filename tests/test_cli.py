@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import os
@@ -10,6 +9,7 @@ import pytest
 import gradleak.cli
 import gradleak.linalg
 import gradleak.rlg
+from casefiles import edit_header, split
 from gradleak import bench
 from gradleak.caseio import (load_case, load_decoder, load_report, read_grd, save_case,
                              save_decoder, write_grd)
@@ -354,10 +354,9 @@ def test_defend_writes_the_defended_payload_and_record(tmp_path):
     out = str(tmp_path / "defended.json")
     for kind, spec in (("sign", DefenseSpec("sign")), ("drop", DefenseSpec("drop", 0.5))):
         assert main(["defend", kind, case_path, "--out", out]) == 0
-        doc = json.loads(Path(out).read_text())
-        assert doc["version"] == 2
-        assert (base64.b64decode(doc["delta_w"])
-                == apply_defense(original.delta_w, spec).astype("<f8").tobytes())
+        doc, payload = split(out)
+        assert doc["version"] == 3
+        assert payload == apply_defense(original.delta_w, spec).astype("<f8").tobytes()
         assert load_case(out).defense_applied == spec
 
 
@@ -407,7 +406,7 @@ def test_delta_grd_shape_must_match_the_case(tmp_path):
 
 
 def test_delta_grd_attack_decodes_nothing(tmp_path, monkeypatch):
-    # the sidecar replaces the stored update, whose text is then never decoded
+    # the sidecar replaces the stored update, whose payload is then never read
     case_path = str(tmp_path / "case.json")
     grd_path = str(tmp_path / "case.grd")
     report = str(tmp_path / "rep.json")
@@ -422,50 +421,57 @@ def test_delta_grd_attack_decodes_nothing(tmp_path, monkeypatch):
 
     plain = {attack: entry(["attack", attack, case_path]) for attack in ("rlg", "mincol")}
 
-    def no_decode(*args, **kwargs):
-        raise AssertionError("the stored update was decoded")
+    read_matrix = gradleak.caseio._read_matrix
 
-    monkeypatch.setattr(gradleak.caseio.base64, "b64decode", no_decode)
+    def sidecar_only(fh, *args):
+        # the same payload reader serves the sidecar, which must be read
+        if fh.name == case_path:
+            raise AssertionError("the stored update was read")
+        return read_matrix(fh, *args)
+
+    monkeypatch.setattr(gradleak.caseio, "_read_matrix", sidecar_only)
     for attack, want in plain.items():
         assert entry(["attack", attack, case_path, "--delta-grd", grd_path]) == want
     assert main(["attack", "rlg", case_path, "--report", report]) == 1
-    assert "the stored update was decoded" in load_report(report)["per_case"][0]["error"]
+    assert "the stored update was read" in load_report(report)["per_case"][0]["error"]
 
 
-def test_delta_grd_still_checks_the_stored_update_text(tmp_path):
+def test_delta_grd_still_checks_the_stored_update_size(tmp_path):
     case_path = str(tmp_path / "case.json")
     grd_path = str(tmp_path / "case.grd")
     report = str(tmp_path / "rep.json")
     main(["simulate", "--mode", "batch", "--n", "2", "--d", "8", "--classes", "6",
           "--seed", "3", "--out", case_path, "--grd-out", grd_path])
-    doc = json.loads(Path(case_path).read_text())
-    text = doc["delta_w"]
-    assert len(text) == 512  # 8 x 6 x 8 bytes of base64
+    _, payload = split(case_path)
+    assert len(payload) == 384  # 8 x 6 x 8 bytes
 
-    def broken(name, edit):
-        bad = json.loads(json.dumps(doc))
-        edit(bad)
-        out = str(tmp_path / f"{name}.json")
-        Path(out).write_text(json.dumps(bad))
+    def broken(name, edit, extra):
+        # the file with its header edited and `extra` zero bytes added to it
+        # (removed from it, when negative)
+        out = edit_header(case_path, edit, out=tmp_path / f"{name}.json")
+        blob = Path(out).read_bytes()
+        Path(out).write_bytes(blob[:len(blob) + extra] + bytes(max(extra, 0)))
         return out
 
-    for name, edit, cause in (
-            ("missing", lambda d: d.pop("delta_w"), "missing key 'delta_w'"),
-            ("number", lambda d: d.update(delta_w=5),
-             "wrongly typed value (delta_w must be base64 text, got int)"),
-            ("list", lambda d: d.update(delta_w=[text]),
-             "wrongly typed value (delta_w must be base64 text, got list)"),
-            ("short", lambda d: d.update(delta_w=text[:-4]),
-             "delta_w text holds 508 characters, shape (8, 6) needs 512"),
-            ("taller", lambda d: d.update(d=9),
-             "delta_w text holds 512 characters, shape (9, 6) needs 576")):
-        bad = broken(name, edit)
+    for name, edit, extra, cause in (
+            ("missing", lambda d: d["arrays"].pop("delta_w"), 0,
+             "stored arrays {} are not the declared {'delta_w': (8, 6)}"),
+            ("number", lambda d: d["arrays"].update(delta_w=5), 0,
+             "wrongly typed value (cannot unpack non-iterable int object)"),
+            ("short", lambda d: None, -4, "delta_w payload holds 380 bytes, shape (8, 6) needs 384"),
+            ("long", lambda d: None, 8, "delta_w payload holds 392 bytes, shape (8, 6) needs 384"),
+            ("taller", lambda d: d.update(d=9), 0,
+             "stored arrays {'delta_w': (8, 6)} are not the declared {'delta_w': (9, 6)}"),
+            ("taller-arrays", lambda d: d.update(d=9, arrays={"delta_w": [9, 6]}), 0,
+             "delta_w payload holds 384 bytes, shape (9, 6) needs 432")):
+        bad = broken(name, edit, extra)
         assert main(["attack", "rlg", bad, "--delta-grd", grd_path, "--report", report]) == 1
         assert load_report(report)["per_case"][0]["error"] == f"ValueError: {bad}: {cause}"
 
-    # without the sidecar the stored update is decoded and checked in full
-    nan = broken("nan", lambda d: d.update(
-        delta_w=base64.b64encode(np.full(48, np.nan, dtype="<f8").tobytes()).decode()))
+    # without the sidecar the stored update is read and checked in full
+    nan = str(tmp_path / "nan.json")
+    Path(nan).write_bytes(Path(case_path).read_bytes()[:-384]
+                          + np.full(48, np.nan, dtype="<f8").tobytes())
     assert main(["attack", "rlg", nan, "--report", report]) == 1
     assert (load_report(report)["per_case"][0]["error"]
             == f"ValueError: {nan}: delta_w contains NaN or Inf entries")
@@ -668,7 +674,7 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
-    # a case without `d`, one with a null seed, a decoder without `w` and a
+    # a case without `d`, one with a null seed, a decoder without `d_a` and a
     # report without `per_case`: every loader names the file and the cause
     case_path = str(tmp_path / "case.json")
     dec_path = str(tmp_path / "dec.json")
@@ -684,9 +690,13 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
         Path(out).write_text(json.dumps(doc))
         return out
 
-    no_d = broken(case_path, "no-d.json", lambda doc: doc.pop("d"))
-    null_seed = broken(case_path, "null-seed.json", lambda doc: doc["scenario"].update(seed=None))
-    no_w = broken(dec_path, "no-w.json", lambda doc: doc.pop("w"))
+    def broken_header(path, name, edit):
+        return edit_header(path, edit, out=tmp_path / name)
+
+    no_d = broken_header(case_path, "no-d.json", lambda doc: doc.pop("d"))
+    null_seed = broken_header(case_path, "null-seed.json",
+                              lambda doc: doc["scenario"].update(seed=None))
+    no_w = broken_header(dec_path, "no-w.json", lambda doc: doc.pop("d_a"))
     no_per_case = broken(report, "no-per-case.json", lambda doc: doc.pop("per_case"))
     part_score = str(tmp_path / "part-score.json")
     Path(part_score).write_text(json.dumps(
@@ -697,7 +707,7 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
             (["defend", "sign", no_d], no_d, "missing key 'd'"),
             (["defend", "sign", null_seed], null_seed, "wrongly typed value"),
             (["gm", no_d, "--decoder", dec_path, *gm_tail], no_d, "missing key 'd'"),
-            (["gm", case_path, "--decoder", no_w, *gm_tail], no_w, "missing key 'w'"),
+            (["gm", case_path, "--decoder", no_w, *gm_tail], no_w, "missing key 'd_a'"),
             (["eval", "--reports", no_per_case], no_per_case, "missing key 'per_case'"),
             (["eval", "--reports", part_score], part_score, "missing key 'recall'"),
             (["eval", "--reports", no_le], no_le, "missing key 'length_error'")):
@@ -710,7 +720,7 @@ def test_malformed_case_message_and_exit_code(tmp_path, capsys):
     assert f"ValueError: {no_d}: missing key 'd'" in capsys.readouterr().err
 
     # a version-1 case is refused by version, whatever it holds
-    v1 = broken(case_path, "v1.json", lambda doc: doc.update(version=1))
+    v1 = broken_header(case_path, "v1.json", lambda doc: doc.update(version=1))
     assert main(["defend", "sign", v1]) == 2
     assert capsys.readouterr().err == f"error: {v1}: unrecognized case version 1\n"
     assert main(["attack", "rlg", v1, "--report", report]) == 1

@@ -117,6 +117,27 @@ def test_svd_rank_deficient_thin_factors(shape):
         assert factor.flags.c_contiguous and factor.base is None
 
 
+def test_svd_rescales_a_matrix_whose_gram_overflows():
+    # entries above ~1e154 overflow the Gram; svd then decomposes the matrix
+    # scaled by a power of two and scales the singular values back
+    m = _capture(1201, "batch", 10).delta_w
+    ref = svd(m)
+    # a power-of-two scale is exact: the same factors, sigma scaled exactly
+    got = svd(np.ldexp(m, 540))
+    assert got.rank == ref.rank == 10
+    assert got.right.tobytes() == ref.right.tobytes()
+    assert got.left.tobytes() == ref.left.tobytes()
+    assert got.singular.tobytes() == np.ldexp(ref.singular, 540).tobytes()
+    # 1e160 is not a power of two, so only rounding separates the results
+    for big in (m * 1e160, apply_defense(m, DefenseSpec("sign")) * 1e160):
+        got, want = svd(big), svd(big / 1e160)
+        assert got.rank == want.rank
+        live = slice(0, got.rank)
+        assert np.abs(got.singular[live] / 1e160 - want.singular[live]).max() <= (
+            1e-13 * want.singular[0])
+        assert np.abs(got.right - want.right).max() <= 1e-12
+
+
 def test_svd_sweep_cap_raises_with_count(monkeypatch):
     rng = np.random.default_rng(9)
     a = rng.normal(size=(12, 9))

@@ -61,6 +61,20 @@ def test_extract_q_batch_rank_and_orthonormal_rows():
     assert np.abs(q @ q.T - np.eye(5)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("defense", [None, DefenseSpec("drop", 0.9), DefenseSpec("sign")],
+                         ids=["clean", "drop90", "sign"])
+def test_rlg_attack_on_a_1e160_scaled_capture(defense):
+    # a positive scale changes no decision, even one large enough to
+    # overflow the update's Gram matrix
+    case = _capture(1201, "batch", 10)
+    update = case.delta_w if defense is None else apply_defense(case.delta_w, defense)
+    cfg = RlgConfig() if defense is None else RlgConfig(assume_s=case.true_s)
+    want = rlg_attack(update, cfg)
+    assert rlg_attack(update * 1e160, cfg) == want
+    if defense is None:
+        assert want.labels == case.label_set
+
+
 def test_extract_q_assumption_violated():
     # d=4 classes=6 with a 4-sample batch saturates min(d, C)
     case = simulate_case(Scenario(d=4, classes=6, mode="batch", n=4, seed=5))

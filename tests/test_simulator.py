@@ -4,7 +4,7 @@ import pytest
 from gradleak.bench import _capture
 from gradleak.linalg import default_rank_tol, numeric_rank, svd
 from gradleak.simulator import (DEFAULT_STEP_LR, GradientCase, Scenario, ToyDecoder,
-                                has_sign_structure, initial_state, projection_grad,
+                                _stream_head, has_sign_structure, initial_state, logit_grad,
                                 sample_latents, simulate_case)
 
 
@@ -13,21 +13,27 @@ def naive_softmax(z):
     return e / e.sum()
 
 
-def logit_grad(z, y):
-    """Cross-entropy logit gradient softmax(z) - e_y, read off projection_grad.
+def ce_grad(z, y):
+    """Cross-entropy logit gradient softmax(z) - e_y, read off logit_grad.
 
     One latent row h = [1] through a zero-weight layer whose bias is z makes
     the logits exactly z, so G's single row is the gradient at z.
     """
     z = np.asarray(z, dtype=float)
     layer = ToyDecoder(w=np.zeros((1, z.shape[0])), b=z)
-    _, g = projection_grad([[1.0]], [y], layer)
-    return g[0]
+    return logit_grad([[1.0]], [y], layer)[0]
+
+
+def averaged_update(h, y, layer):
+    """The projection-layer weight update of latent rows `h`, (H/n)^T G, as
+    simulate_case forms it."""
+    h = np.asarray(h, dtype=float)
+    return (h / h.shape[0]).T @ logit_grad(h, y, layer)
 
 
 def softmax(z):
     # softmax(z) = (softmax(z) - e_0) + e_0
-    p = logit_grad(z, 0)
+    p = ce_grad(z, 0)
     p[0] += 1.0
     return p
 
@@ -45,7 +51,7 @@ def test_softmax_matches_naive_at_small_magnitude():
 
 
 def test_ce_logit_grad_uniform_case():
-    g = logit_grad([0.0, 0.0, 0.0], 1)
+    g = ce_grad([0.0, 0.0, 0.0], 1)
     assert np.allclose(g, [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
 
 
@@ -54,7 +60,7 @@ def test_ce_logit_grad_sums_to_zero_and_signs():
     for _ in range(50):
         z = rng.normal(scale=2.0, size=12)
         y = int(rng.integers(12))
-        g = logit_grad(z, y)
+        g = ce_grad(z, y)
         assert abs(g.sum()) <= 1e-12
         # direct evaluation of the defining formula
         direct = naive_softmax(z)
@@ -66,22 +72,23 @@ def test_ce_logit_grad_sums_to_zero_and_signs():
 
 def test_ce_logit_grad_label_out_of_range():
     with pytest.raises(ValueError):
-        logit_grad([0.0, 0.0], 2)
+        ce_grad([0.0, 0.0], 2)
     with pytest.raises(ValueError):
-        logit_grad([0.0, 0.0], -1)
+        ce_grad([0.0, 0.0], -1)
 
 
 def test_projection_grad_uniform_single():
     state = ToyDecoder(w=np.zeros((2, 3)), b=np.zeros(3))
-    delta_w, g = projection_grad([[1.0, 0.0]], [1], state)
-    assert np.allclose(delta_w, [[1 / 3, -2 / 3, 1 / 3], [0.0, 0.0, 0.0]], atol=1e-15)
+    g = logit_grad([[1.0, 0.0]], [1], state)
     assert g.shape == (1, 3)
+    delta_w = averaged_update([[1.0, 0.0]], [1], state)
+    assert np.allclose(delta_w, [[1 / 3, -2 / 3, 1 / 3], [0.0, 0.0, 0.0]], atol=1e-15)
 
 
 def test_projection_grad_single_sample_rank_one():
     rng = np.random.default_rng(8)
     state = ToyDecoder(w=rng.normal(0, 0.1, (6, 4)), b=rng.normal(0, 0.1, 4))
-    delta_w, _ = projection_grad(rng.normal(size=(1, 6)), [2], state)
+    delta_w = averaged_update(rng.normal(size=(1, 6)), [2], state)
     assert numeric_rank(svd(delta_w).singular, default_rank_tol(6, 4)) == 1
 
 
@@ -91,7 +98,7 @@ def test_projection_grad_matches_per_sample_average():
     state = ToyDecoder(w=rng.normal(0, 0.1, (d, c)), b=rng.normal(0, 0.1, c))
     h = rng.normal(size=(s, d))
     y = [4, 0, 7]
-    delta_w, _ = projection_grad(h, y, state)
+    delta_w = averaged_update(h, y, state)
     acc = np.zeros((d, c))
     for i in range(s):
         z = h[i] @ state.w + state.b
@@ -104,9 +111,21 @@ def test_projection_grad_matches_per_sample_average():
 def test_projection_grad_dimension_mismatch():
     state = ToyDecoder(w=np.zeros((2, 3)), b=np.zeros(3))
     with pytest.raises(ValueError):
-        projection_grad([[1.0, 0.0]], [0, 1], state)
+        logit_grad([[1.0, 0.0]], [0, 1], state)
     with pytest.raises(ValueError):
-        projection_grad([[1.0, 0.0, 3.0]], [0], state)
+        logit_grad([[1.0, 0.0, 3.0]], [0], state)
+
+
+def test_batch_update_is_the_averaged_logit_gradient_bit_for_bit():
+    # simulate_case's own draws, replayed: its update is (H/n)^T G exactly
+    for latent in ("relu", "tanh", "gauss"):
+        sc = Scenario(d=12, classes=9, mode="batch", n=4, latent=latent, seed=41)
+        rng, layer = _stream_head(sc)
+        h = sample_latents(rng, sc.n, sc.d, sc.latent)
+        y = rng.integers(0, sc.classes, size=sc.n)
+        case = simulate_case(sc)
+        assert case.true_labels == tuple(int(v) for v in y)
+        assert case.delta_w.tobytes() == averaged_update(h, y, layer).tobytes()
 
 
 def test_scenario_validation():

@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     paths = []
     for sc in scenarios:
-        path = os.path.join(args.out, f"case-{sc.seed:08d}.json") if in_dir else args.out
+        path = os.path.join(args.out, f"case-{sc.seed:08d}.case") if in_dir else args.out
         paths.append(path)
         if args.skip_existing and os.path.exists(path):
             # a kept case still gets the sidecar the command names

@@ -10,6 +10,11 @@ where A holds one free context vector per sequence position and P~ is the
 smooth-label matrix P expanded to all C classes: P holds one column per
 searched label, and P~ is zero outside those columns.  The free problem is
 the restricted one over all C columns, so one forward pass serves both.
+A step never builds P~: on the free problem M = softmax - P directly, and
+under a restricted set M is a copy of the softmax rows with P subtracted in
+the searched columns only, which gives the same bits as subtracting a
+zero-filled P~.  The forward pass, E and the gradients are accumulated in
+place in arrays of their own, never in the caller's A, P or decoder.
 Reconstruction minimizes
 
     || D(A, P) - target ||_F^2  +  lam * R(P),    R(P) = sum_i | ||p_i||_1 - 1 |,
@@ -69,10 +74,14 @@ def _residual(a: np.ndarray, p: np.ndarray,
     # the searched columns, and E = A^T M - target; a and p are one (S, .)
     # pair or a stack (R, S, .) of them
     sm = _softmax_rows(prob.decoder.logits(a))
-    full = np.zeros_like(sm)
-    full[..., prob.cols] = p
-    m = sm - full
-    return sm, m, a.swapaxes(-1, -2) @ m - prob.target_grad
+    if prob.bow is None:
+        m = sm - p
+    else:
+        m = sm.copy()
+        m[..., prob.cols] -= p
+    e = a.swapaxes(-1, -2) @ m
+    e -= prob.target_grad
+    return sm, m, e
 
 
 @dataclass(frozen=True)
@@ -187,12 +196,15 @@ def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
     w = prob.decoder.w
     sm, m, e = _residual(a, p, prob)
     ae = a @ e
-    row_dot = (ae * sm).sum(axis=-1, keepdims=True)
-    jac = sm * (ae - row_dot)
-    grad_a = 2.0 * (m @ e.swapaxes(-1, -2) + jac @ w.T)
-    grad_p = -2.0 * ae.take(prob.cols, axis=-1)
-    reg = prob.lam * np.sign(np.abs(p).sum(axis=-1, keepdims=True) - 1.0) * np.sign(p)
-    return grad_a, grad_p + reg
+    jac = sm * (ae - (ae * sm).sum(axis=-1, keepdims=True))
+    grad_a = m @ e.swapaxes(-1, -2)
+    grad_a += jac @ w.T
+    grad_a *= 2.0
+    # ae is no longer needed, so the free problem scales it in place
+    grad_p = ae if prob.bow is None else ae.take(prob.cols, axis=-1)
+    grad_p *= -2.0
+    grad_p += prob.lam * np.sign(np.abs(p).sum(axis=-1, keepdims=True) - 1.0) * np.sign(p)
+    return grad_a, grad_p
 
 
 def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int],
@@ -237,16 +249,18 @@ def _descend(prob: GMProblem, a: np.ndarray, p: np.ndarray) -> list[tuple]:
         for step in range(1, prob.max_steps + 1):
             lr = max(LR_FLOOR, LR_INIT * 0.5 ** ((step - 1) // LR_HALVE_EVERY))
             ga, gp = gm_gradients(a, p, prob)
-            a -= lr * ga
-            p -= lr * gp
+            a -= np.multiply(ga, lr, out=ga)
+            p -= np.multiply(gp, lr, out=gp)
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))
             current = p.argmax(axis=-1)
-            changed = finite & (current != picks).any(axis=1)
+            changed = (current != picks).any(axis=1)
             if changed.any():
+                changed &= finite
                 picks[changed] = current[changed]
                 last_change[changed] = step
-            stable = step - last_change >= STABLE_STEPS
-            done = ~finite | stable
+            done = ~finite
+            if step >= STABLE_STEPS:  # no transcript can be stable that long before
+                done |= step - last_change >= STABLE_STEPS
             if step == prob.max_steps:
                 done[:] = True
             elif not done.any():
@@ -260,7 +274,7 @@ def _descend(prob: GMProblem, a: np.ndarray, p: np.ndarray) -> list[tuple]:
                     # any finite restart beats it
                     distance = objective = float("inf")
                 outcomes[live[i]] = (transcript, distance, objective, step,
-                                     bool(finite[i] and stable[i]))
+                                     bool(finite[i] and step - last_change[i] >= STABLE_STEPS))
             keep = ~done
             live, a, p, picks, last_change = (x[keep] for x in (live, a, p, picks, last_change))
             if not live.size:

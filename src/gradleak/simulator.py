@@ -141,8 +141,11 @@ class GradientCase:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # one fresh array, exponentiated and normalized in place; z is not written
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,14 @@ class ToyDecoder:
     def logits(self, a: np.ndarray) -> np.ndarray:
         """Logits of one (S, d_a) block of rows, or of a stack (R, S, d_a)
         of them; the offsets pos[:S] apply to every block of the stack."""
-        z = a @ self.w + self.b
+        z = a @ self.w
+        z += self.b
         if self.pos is not None:
             s = a.shape[-2]
             if s > self.pos.shape[0]:
                 raise ValueError(f"decoder supports sequences up to {self.pos.shape[0]}, "
                                  f"got {s}")
-            z = z + self.pos[:s]
+            z += self.pos[:s]
         return z
 
 

@@ -68,7 +68,7 @@ def test_simulate_single_into_directory_skip_existing(tmp_path, capsys):
     out_dir.mkdir()
     argv = ["simulate", "--mode", "single", "--d", "4", "--classes", "3",
             "--seed", "7", "--out", str(out_dir)]
-    path = out_dir / "case-00000007.json"
+    path = out_dir / "case-00000007.case"
     first_grd = tmp_path / "first.grd"
     assert main(argv + ["--grd-out", str(first_grd)]) == 0
     assert capsys.readouterr().out.split() == [str(path)]

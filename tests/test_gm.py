@@ -249,9 +249,68 @@ def test_decoder_positional_shape_guard():
         dec.logits(rng.normal(size=(5, 5)))
 
 
+def _reference_residual(a, p, prob):
+    # the forward pass and residual (softmax, M, E) as first written, one
+    # numpy expression per quantity and P~ zero-filled; frozen so that the
+    # reference does not share the kernel it checks
+    dec = prob.decoder
+    z = a @ dec.w + dec.b
+    if dec.pos is not None:
+        z = z + dec.pos[:a.shape[-2]]
+    ex = np.exp(z - z.max(axis=-1, keepdims=True))
+    sm = ex / ex.sum(axis=-1, keepdims=True)
+    full = np.zeros_like(sm)
+    full[..., prob.cols] = p
+    m = sm - full
+    return sm, m, a.swapaxes(-1, -2) @ m - prob.target_grad
+
+
+def _reference_gradients(a, p, prob):
+    # gm_gradients' arithmetic as first written, frozen beside the residual
+    w = prob.decoder.w
+    sm, m, e = _reference_residual(a, p, prob)
+    ae = a @ e
+    row_dot = (ae * sm).sum(axis=-1, keepdims=True)
+    jac = sm * (ae - row_dot)
+    grad_a = 2.0 * (m @ e.swapaxes(-1, -2) + jac @ w.T)
+    grad_p = -2.0 * ae.take(prob.cols, axis=-1)
+    reg = prob.lam * np.sign(np.abs(p).sum(axis=-1, keepdims=True) - 1.0) * np.sign(p)
+    return grad_a, grad_p + reg
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("pos_std", [0.0, 1.0])
+@pytest.mark.parametrize("bow", [(0, 3, 6), None])
+def test_gradients_equal_frozen_reference_bit_for_bit(bow, pos_std, stacked):
+    dec = small_decoder(seed=29, pos_std=pos_std)
+    rng = np.random.default_rng(30)
+    prob = make_problem(dec, rng.normal(size=(3, 5)), [3, 6, 0], bow=bow, lam=0.7)
+    shape = (4, 3) if stacked else (3,)
+    a = rng.normal(0.0, 0.7, shape + (5,))
+    p = rng.normal(0.0, 0.7, shape + (prob.width,))
+    # exact ties and signed zeros at the regularizer's kinks
+    p[..., 0, :] = 0.0
+    p[..., 1, :] = -1.0 / prob.width
+    if stacked:
+        # one slice runs non-finite, as a diverging restart does
+        a[1, 0, 2] = np.inf
+        p[2, 1, 0] = np.nan
+        a[3] *= 1e150
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = gm_gradients(a, p, prob)
+        want = _reference_gradients(a, p, prob)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+    if stacked:
+        assert not np.isfinite(got[0][1]).all() and not np.isfinite(got[1][2]).all()
+        assert np.isfinite(got[0][0]).all() and np.isfinite(got[1][0]).all()
+
+
 def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
-    # the one-restart-at-a-time loop the stacked descent replaced, kept as
-    # the reference; nan_at=(r, t) makes restart r's gradient NaN at step t
+    # the one-restart-at-a-time loop the stacked descent replaced, on the
+    # frozen reference arithmetic; nan_at=(r, t) makes restart r's gradient
+    # NaN at step t
     def single_run(ridx, rng):
         a = rng.normal(0.0, 0.01, size=(prob.s, prob.decoder.d_a))
         p = rng.normal(0.0, 0.01, size=(prob.s, prob.width))
@@ -262,7 +321,7 @@ def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
         for step in range(1, prob.max_steps + 1):
             lr = max(gm.LR_FLOOR, gm.LR_INIT * 0.5 ** ((step - 1) // gm.LR_HALVE_EVERY))
             with np.errstate(over="ignore", invalid="ignore"):
-                ga, gp = gm_gradients(a, p, prob)
+                ga, gp = _reference_gradients(a, p, prob)
                 if nan_at == (ridx, step):
                     ga = np.full_like(ga, np.nan)
                 a -= lr * ga
@@ -276,7 +335,7 @@ def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
             if step - last_change >= gm.STABLE_STEPS:
                 converged = True
                 break
-        diff = gm._residual(a, p, prob)[2]
+        diff = _reference_residual(a, p, prob)[2]
         distance = float(np.sqrt((diff * diff).sum()))
         objective = distance * distance + prob.lam * regularizer(p)
         return transcript, distance, objective, step, converged
@@ -381,3 +440,51 @@ def test_diverged_restart_leaves_the_others_unchanged(monkeypatch):
     got = reconstruct(prob, seed=11, restarts=4, truth=labels)
     assert _bits(got) == _bits(want)
     assert calls[:40] == [4] * 40 and calls[40] == 3
+
+
+@pytest.mark.parametrize("max_steps", [gm.STABLE_STEPS - 1, gm.STABLE_STEPS,
+                                       gm.STABLE_STEPS + 1])
+def test_stability_boundary_matches_serial_reference(max_steps):
+    # the descent skips the stability test before step STABLE_STEPS; a
+    # singleton search space never changes its transcript, so its restarts
+    # converge at exactly that step, and only once the cap allows it
+    dec = small_decoder(seed=31, pos_std=1.0)
+    rng = np.random.default_rng(32)
+    labels = [6, 1, 3]
+    context = rng.normal(size=(3, 5))
+    single = make_problem(dec, context[:1], labels[:1], bow=(6,), lam=0.5,
+                          max_steps=max_steps)
+    got = reconstruct(single, seed=13, restarts=2, truth=labels[:1])
+    assert _bits(got) == _bits(_serial_reconstruct(single, 13, 2, labels[:1]))
+    reached = max_steps >= gm.STABLE_STEPS
+    assert got.converged == reached
+    assert got.runs[0][0] == got.runs[1][0] == min(max_steps, gm.STABLE_STEPS)
+    prob = make_problem(dec, context, labels, bow=(1, 3, 6), lam=0.5, max_steps=max_steps)
+    got = reconstruct(prob, seed=13, restarts=3, truth=labels)
+    assert _bits(got) == _bits(_serial_reconstruct(prob, 13, 3, labels))
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    # the forward pass and the gradients work in place on arrays of their
+    # own; none of them may write through to what the caller passed
+    rng = np.random.default_rng(33)
+    context = rng.normal(size=(3, 5))
+    for pos_std in (0.0, 1.0):
+        dec = small_decoder(seed=34, pos_std=pos_std)
+        for bow in ((0, 3, 6), None):
+            prob = make_problem(dec, context, [3, 6, 0], bow=bow, lam=0.7)
+            for shape in ((3,), (4, 3)):
+                a = rng.normal(0.0, 0.7, shape + (5,))
+                p = rng.normal(0.0, 0.7, shape + (prob.width,))
+                inputs = [a, p, dec.w, dec.b, prob.target_grad]
+                if dec.pos is not None:
+                    inputs.append(dec.pos)
+                before = [x.tobytes() for x in inputs]
+                z = dec.logits(a)
+                logits = z.tobytes()
+                _softmax_rows(z)
+                assert z.tobytes() == logits
+                gm_gradients(a, p, prob)
+                if len(shape) == 1:
+                    gm_objective(a, p, prob)
+                assert [x.tobytes() for x in inputs] == before

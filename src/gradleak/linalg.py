@@ -17,11 +17,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 JACOBI_SWEEP_CAP = 100
 JACOBI_ROTATION_TOL = 1e-12
-# The rank probe's pivot cap is n // LOW_RANK_CAP_DIVISOR.  The low-rank basis
-# change costs ~4 rows n r flops (two thin products), the full one 2 rows n^2
-# plus eigh's O(n^3); at r = n/4 the thin products are half the full one's
-# gemm, which leaves the probe and the n x r QR room to pay for themselves.
-LOW_RANK_CAP_DIVISOR = 4
+# pivots per block of the rank probe.  Unblocked, a full-rank 512 x 512 Gram
+# took ~10 ms, most of it re-reading every earlier factor column at each
+# step; blocks of 128 took ~6 ms (one BLAS thread, 2-vCPU x86 host)
+PROBE_BLOCK = 128
 
 
 class SvdConvergenceError(RuntimeError):
@@ -87,30 +86,51 @@ def _round_robin(n: int):
     return tuple((p[h < n], h[h < n]) for p, h in zip(lo, hi))
 
 
-def _rank_probe(gram: np.ndarray, cap: int) -> np.ndarray | None:
+def _rank_probe(gram: np.ndarray) -> np.ndarray | None:
     """Pivots of a greedy pivoted Cholesky of the Gram matrix `gram`.
 
     Each step takes the largest remaining Schur-complement diagonal as the
-    next pivot; the probe stops once that diagonal is at or below
-    n * EPS * max(diag(gram)) and returns the pivots taken, in order.
-    Returns None when `cap` pivots leave a diagonal above that cut.
+    next pivot (the lowest id among ties); the probe stops once that
+    diagonal is at or below n * EPS * max(diag(gram)) and returns the pivots
+    taken, in order.  Returns None when all n pivots are taken: the Gram is
+    full rank.
+
+    The steps run in blocks of PROBE_BLOCK pivots, as LAPACK's dpstrf does.
+    Within a block, each factor column is its pivot's Schur-complement row
+    less the products of the block's earlier columns.  A finished block is
+    folded into the Schur complement by one product, and the rows and
+    columns it pivoted are dropped, so a full-rank probe reads each factor
+    column only within its own block.  A probe that stops within its first
+    block does the arithmetic of an unblocked one.
     """
     n = gram.shape[0]
     diag = gram.diagonal().copy()
     stop = n * EPS * diag.max()
-    factor = np.empty((cap, n))  # row k: the factor's k-th column
-    pivots = np.empty(cap, dtype=np.intp)
-    for k in range(cap):
+    ids = np.arange(n)  # the Gram ids of the rows `schur` and `diag` hold
+    free = np.ones(n, dtype=bool)
+    schur = gram
+    block = np.empty((PROBE_BLOCK, n))  # row j: the block's j-th factor column
+    pivots = np.empty(n, dtype=np.intp)
+    for k in range(n):
+        j = k % PROBE_BLOCK
+        if j == 0 and k:
+            done = np.take(block, np.flatnonzero(free), axis=1)
+            schur = schur[np.ix_(free, free)]
+            schur -= done.T @ done
+            ids, diag = ids[free], diag[free]
+            free = np.ones(ids.size, dtype=bool)
+            block = np.empty((PROBE_BLOCK, ids.size))
         p = int(diag.argmax())
         if diag[p] <= stop:
             return pivots[:k]
-        col = factor[k]
-        np.dot(factor[:k, p], factor[:k], out=col)
-        np.subtract(gram[p], col, out=col)
+        col = block[j]
+        np.dot(block[:j, p], block[:j], out=col)
+        np.subtract(schur[p], col, out=col)
         col /= np.sqrt(diag[p])
         diag -= col * col
         diag[p] = 0.0
-        pivots[k] = p
+        free[p] = False
+        pivots[k] = ids[p]
     return None
 
 
@@ -128,7 +148,10 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         gram = work.T @ work
     if not np.isfinite(gram).all():
         return None
-    pivots = _rank_probe(gram, n // LOW_RANK_CAP_DIVISOR)
+    # every rank-deficient update takes the low-rank basis, whatever its
+    # rank: on 64 x 100 drop90 copies of rank 12-42 the eigenbasis left
+    # pairs to rotate, and the SVD took about twice as long
+    pivots = _rank_probe(gram)
     if pivots is None:
         try:
             _, pre = np.linalg.eigh(gram)
@@ -179,14 +202,15 @@ def svd(m) -> SvdResult:
     The sweeps start from an orthogonal basis that leaves them little to
     rotate (:func:`_precondition`).  A rank probe, greedy pivoted Cholesky
     on the n x n Gram matrix, stops once the largest remaining pivot is at
-    or below n * EPS * max(diag), or after n // LOW_RANK_CAP_DIVISOR pivots.
-    If it stopped first, at r pivots, the basis is the Householder QR basis
-    of the Gram's r pivoted columns, applied in compact WY form, with its
-    first r columns turned onto their own r x r Gram eigenbasis: O(rows n r)
-    work for a rank-r update, where the full Gram eigenbasis costs
-    O(rows n^2 + n^3).  A full-rank update, or one whose probe reaches the
-    cap, takes the full Gram eigenbasis.  Only the sweeps below decide
-    which columns are live and how each pair turns.
+    or below n * EPS * max(diag).  If it stops at r < n pivots, the basis is
+    the Householder QR basis of the Gram's r pivoted columns, applied in
+    compact WY form, with its first r columns turned onto their own r x r
+    Gram eigenbasis: O(rows n r) work, and its n - r tail columns hold
+    rounding only.  The full Gram eigenbasis costs O(rows n^2 + n^3), and
+    on a rank-deficient update the error of its eigenvectors leaves pairs
+    for the sweeps to rotate, so only a full-rank update, whose probe takes
+    all n pivots, gets it.  Only the sweeps below decide which columns are
+    live and how each pair turns.
 
     Columns whose norm falls below default_rank_tol(rows, cols) relative to the
     largest are numerically null: their singular values are the computed

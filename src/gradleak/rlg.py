@@ -30,7 +30,10 @@ generators; the L1 slack pair doubles as the artificial basis).  It is
 solved here by revised simplex that enters the variable with the largest
 reduced cost (Dantzig 1963); a target whose objective stalls falls back to
 Bland's rule (Bland 1977), which cannot cycle in exact arithmetic, until it
-falls again.
+falls again.  The ratio test refuses a pivot below 1e-9 of the entering
+column's largest entry (a pivot-size safeguard after Harris 1973): such a
+pivot blows the basis inverse up by its reciprocal, and the roundoff it
+brings can read a true label as infeasible.
 The optimal simplex multipliers directly yield a primal separator witness,
 exposed via :func:`lp_separator`.
 
@@ -61,6 +64,7 @@ DEGENERATE_FLOOR = 1e-30
 DEFAULT_MAX_PIVOTS = 5000
 _RCOST_TOL = 1e-12
 _PIVOT_TOL = 1e-12
+_PIVOT_REL = 1e-9  # smallest pivot the ratio test takes, relative to its column
 _REFACTOR_EVERY = 64
 _STALL = 50  # rounds without a fall in the objective before Bland's rule
 # labels per chunk: 2^18 // max(C, s^2), so the (labels, C + 2s) pricing
@@ -202,10 +206,12 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
     updated in between.  The entering variable has the largest reduced cost
     y . a_j - c_j over all but the own column (Dantzig's rule); a target
     whose objective has not fallen for _STALL rounds enters the lowest
-    improvable id instead (Bland's rule) until it falls again.  The leaving
-    variable is always the lowest basis id among ratio ties.  Pricing runs
-    against the read-only A, so nothing is copied per target and nothing
-    accumulates roundoff.
+    improvable id instead (Bland's rule) until it falls again.  The ratio
+    test takes a row only where the entering column's entry u = B^-1 a is
+    above max(_PIVOT_TOL, _PIVOT_REL * max|u|), and the leaving variable is
+    always the lowest basis id among ratio ties.  Pricing runs against the
+    read-only A, so nothing is copied per target and nothing accumulates
+    roundoff.
 
     The targets run in chunks of max(1, _BATCH_ENTRIES // max(n_cols, s^2))
     rows, one after the other, which bound the (targets, n_cols) pricing
@@ -290,7 +296,12 @@ def _cone_distances(gens: np.ndarray, targets: np.ndarray, own: np.ndarray):
 
             acol = amat[:, enter].T
             u = (binv @ acol[:, :, None])[:, :, 0]
-            eligible = u > _PIVOT_TOL
+            # a pivot below _PIVOT_REL of its column's largest entry would
+            # blow the basis inverse up by its reciprocal, so it is refused.
+            # The largest |u| is taken over the rows of a transposed copy,
+            # which numpy reduces faster than many short rows
+            big = np.abs(u.T, order="C").max(axis=0)
+            eligible = u > np.maximum(_PIVOT_TOL, _PIVOT_REL * big)[:, None]
             ratios = np.where(eligible, xb / np.where(eligible, u, 1.0), np.inf)
             best = ratios.min(axis=1, keepdims=True)
             tied = eligible & (ratios <= best + 1e-15)

@@ -254,12 +254,47 @@ def test_svd_matches_lapack_accurate_jacobi_on_the_low_rank_basis(make):
     assert np.abs(got.singular[live] - want[live]).max() <= 1e-13 * want[0]
 
 
-@pytest.mark.parametrize("low_rank", [True, False])
-def test_precondition_is_an_orthogonal_change_of_basis(low_rank, monkeypatch):
+def _unblocked_rank_probe(gram):
+    # the greedy pivoted Cholesky a step at a time over the whole Gram: the
+    # reference whose pivots the blocked probe must pick
+    n = gram.shape[0]
+    diag = gram.diagonal().copy()
+    stop = n * linalg.EPS * diag.max()
+    factor, pivots = np.empty((n, n)), []
+    for k in range(n):
+        p = int(diag.argmax())
+        if diag[p] <= stop:
+            return pivots
+        factor[k] = (gram[p] - factor[:k, p] @ factor[:k]) / np.sqrt(diag[p])
+        diag -= factor[k] * factor[k]
+        diag[p] = 0.0
+        pivots.append(p)
+    return None
+
+
+@pytest.mark.parametrize("defense", [None, DefenseSpec("sign")], ids=["rank150", "full-rank"])
+def test_rank_probe_blocks_pick_the_unblocked_pivots(defense):
+    # ranks above linalg.PROBE_BLOCK, so the probe folds blocks: 150 of 200
+    # for the capture, and full rank for its sign copy
+    dw = simulate_case(Scenario(d=200, classes=300, mode="batch", n=150,
+                                latent="tanh", seed=3)).delta_w
+    m = dw if defense is None else apply_defense(dw, defense)
+    gram = m @ m.T
+    got = linalg._rank_probe(gram)
+    want = _unblocked_rank_probe(gram)
+    assert want is None or len(want) > linalg.PROBE_BLOCK
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("rank", [6, 40, None])
+def test_precondition_is_an_orthogonal_change_of_basis(rank, monkeypatch):
+    # every rank below n takes the low-rank basis, rank 40 of 96 included
     rng = np.random.default_rng(31)
     n = 96
-    if low_rank:
-        a = rng.normal(size=(400, 6)) @ rng.normal(size=(6, n))
+    if rank:
+        a = rng.normal(size=(400, rank)) @ rng.normal(size=(rank, n))
     else:
         a = rng.normal(size=(400, n))
     # the path shows in the shape of every matrix handed to eigh
@@ -269,11 +304,11 @@ def test_precondition_is_an_orthogonal_change_of_basis(low_rank, monkeypatch):
     norm = np.linalg.norm(a, 2)
     assert np.abs(v.T @ v - np.eye(n)).max() <= n * linalg.EPS
     assert np.abs(work - a @ v).max() <= 4 * linalg.EPS * norm
-    if low_rank:
-        # the Householder basis, its 6 live columns turned by their own
-        # 6 x 6 eigenbasis; the other 90 hold rounding only
-        assert shapes == [(6, 6)]
-        assert np.linalg.norm(work[:, 6:], axis=0).max() <= n * linalg.EPS * norm
+    if rank:
+        # the Householder basis, its live columns turned by their own
+        # rank x rank eigenbasis; the others hold rounding only
+        assert shapes == [(rank, rank)]
+        assert np.linalg.norm(work[:, rank:], axis=0).max() <= n * linalg.EPS * norm
     else:
         # the full Gram eigenbasis, largest first, as the sweeps always had
         assert shapes == [(n, n)]
@@ -377,20 +412,23 @@ def _full_gram_svd(m):
 def _bit_identity_inputs():
     rng = np.random.default_rng(5)
     yield pytest.param(rng.normal(size=(96, 6)) @ rng.normal(size=(6, 400)), False, id="rank6")
-    # 64x100 drop90 copies (and a sign copy) whose first sweep rotates with
-    # some columns dead: the hot pairs must map back to the same rounds
-    for mode, n, k, latent, seed in (("batch", 10, 1, "tanh", 8102),
-                                     ("multistep", 2, 2, "gauss", 8104)):
-        dw = _capture(seed, mode, n, k, latent).delta_w
-        drop90 = apply_defense(dw, DefenseSpec("drop", 0.9))
+    # 64x100 drop90 copies whose live columns still rotate on the low-rank
+    # basis while its tail columns are dead: the hot pairs must map back to
+    # the same rounds.  Most rank-deficient copies rotate nothing
+    for mode, n, k, latent, seed in (("batch", 10, 1, "relu", 8100),
+                                     ("multistep", 2, 2, "gauss", 8106)):
+        drop90 = apply_defense(_capture(seed, mode, n, k, latent).delta_w,
+                               DefenseSpec("drop", 0.9))
         yield pytest.param(drop90, True, id=f"{mode}-drop90")
         if mode == "batch":
-            yield pytest.param(apply_defense(dw, DefenseSpec("sign")), True, id=f"{mode}-sign")
             # a tall matrix with exact-zero and duplicated columns that still rotates
             tall = drop90.T.copy()
             tall[:, [3, 17]] = 0.0
             tall[:, [5, 9, 20]] = tall[:, [4, 4, 11]]
             yield pytest.param(tall, True, id="zero-dup")
+    # a full-rank sign copy, whose sweeps rotate on the Gram eigenbasis
+    sign = apply_defense(_capture(8124, "batch", 10, 1, "tanh").delta_w, DefenseSpec("sign"))
+    yield pytest.param(sign, True, id="batch-sign")
 
 
 @pytest.mark.parametrize("m, rotates", list(_bit_identity_inputs()))

@@ -309,6 +309,34 @@ def test_cycling_true_label_lp_is_decided_feasible():
     assert lp_feasible(q, 84) is True
 
 
+@pytest.mark.parametrize("route", ["low-rank", "full"])
+def test_capped_drop90_decisions_do_not_depend_on_the_basis_route(route, monkeypatch):
+    # Q through the rank probe's Householder basis, or through the full Gram
+    # eigenbasis (the probe reporting full rank): the two differ in the last
+    # bits, and every label's decision is still HiGHS's.  On the low-rank
+    # route's Q a ratio test that takes pivots of 3e-10 against 0.59 turned
+    # tanh label 84 infeasible
+    probe = linalg._rank_probe
+    taken = []
+
+    def routed(gram):
+        pivots = probe(gram) if route == "low-rank" else None
+        taken.append(pivots is not None)
+        return pivots
+
+    monkeypatch.setattr(linalg, "_rank_probe", routed)
+    for seed, index, latent, label, want_s in _CAPPED_DROP90:
+        dw, q = _capped_capture(seed, index, latent, label, want_s)
+        assert taken == [route == "low-rank"]
+        labels = rlg_attack(dw).labels
+        taken.clear()
+        ref = np.array([_highs_distance(q, c) for c in range(q.shape[1])])
+        assert not ((LP_MARGIN / 10 <= ref) & (ref <= 10 * LP_MARGIN)).any(), (seed, latent)
+        assert labels == set(np.flatnonzero(ref >= LP_MARGIN).tolist()), (seed, latent)
+        r = lp_separator(q, label)
+        assert abs(-(r @ q[:, label]) - ref[label]) <= 1e-6, (seed, latent)
+
+
 def test_sign_copy_sequence_attacks_match_highs():
     # sign copies of two sequence captures, attacked at the true S = 12,
     # whose label LPs used to meet a singular basis; the label set is the
@@ -651,7 +679,8 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
     # the reference: generators are q without the label's column.  It enters
     # the largest score over the unit-norm generators, and the lowest
     # improvable id (Bland) after rlg._STALL rounds without a fall in the
-    # objective
+    # objective, and its ratio test refuses a pivot below 1e-9 of the
+    # entering column's largest entry
     s = target.shape[0]
     scale = np.sqrt((generators * generators).sum(axis=0))
     scale[scale == 0.0] = 1.0
@@ -697,7 +726,7 @@ def _serial_cone_distance(generators, target, max_pivots, stop_below, label):
             acol = np.zeros(s)
             acol[(enter - ng) % s] = 1.0 if enter < ng + s else -1.0
         u = binv @ acol
-        rows = np.flatnonzero(u > 1e-12)
+        rows = np.flatnonzero(u > max(1e-12, 1e-9 * np.abs(u).max()))
         if rows.size == 0:
             raise LpPivotLimitError(pivots, label)
         ratios = xb[rows] / u[rows]

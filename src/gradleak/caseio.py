@@ -12,12 +12,13 @@ The header holds `version`, `kind` ("case" or "decoder"), the file's other
 fields, and `arrays`, the name and shape of each stored matrix in payload
 order; those shapes must be the ones the other fields declare.  A payload
 is a matrix's little-endian float64 values in row-major order.  A load
-checks that the file holds exactly the bytes its header's shapes need, reads each payload straight into its array and passes it
-through `as_matrix`, so a write/read cycle reproduces every entry bit for
-bit and a file holding NaN, Inf or an empty dimension is refused with its
-path.  A case loaded with a replacement update (`load_case(path, update)`)
-is checked the same way in everything but its stored update, which is
-never read: the file must still have the size its header declares, and the
+checks that the file holds exactly the bytes its header's shapes need,
+reads each payload straight into its array and passes it through
+`as_matrix`, so a write/read cycle reproduces every entry bit for bit and
+a file holding NaN, Inf or an empty dimension is refused with its path.
+A case loaded with a replacement update (`load_case(path, update)`) is
+checked the same way in everything but its stored update, which is never
+read: the file must still have the size its header declares, and the
 replacement must have the declared shape.
 
 Case header: d, C, the scenario, ground truth (the label list, in generation

@@ -136,7 +136,9 @@ def _rank_probe(gram: np.ndarray) -> np.ndarray | None:
 
 def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """An orthogonal basis v for the columns of `work` (big x n), returned
-    as (work @ v, v), or None when the Gram matrix overflows.
+    as (work @ v, v), or None when the Gram matrix overflows, or when
+    `work` is nonzero but n * EPS * max(diag(Gram)), the rank probe's cut,
+    is below the smallest normal float (the Gram has underflowed).
 
     v is the rank probe's low-rank basis or the full Gram eigenbasis
     (largest first), as :func:`svd` describes, or the identity if eigh
@@ -146,7 +148,10 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     n = work.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = work.T @ work
-    if not np.isfinite(gram).all():
+    # an overflowing Gram, or a nonzero matrix whose Gram rank cut is
+    # subnormal (its products have underflowed), goes back to svd to rescale
+    if not np.isfinite(gram).all() or (
+            n * EPS * gram.diagonal().max() < np.finfo(np.float64).tiny and work.any()):
         return None
     # every rank-deficient update takes the low-rank basis, whatever its
     # rank: on 64 x 100 drop90 copies of rank 12-42 the eigenbasis left
@@ -194,7 +199,8 @@ def svd(m) -> SvdResult:
     """One-sided Jacobi SVD of a dense real matrix.
 
     The shorter side's columns are orthogonalized by plane rotations applied
-    round by round over disjoint pairs; a sweep visits every pair once.
+    round by round over disjoint pairs; each sweep pairs the live columns by
+    a tournament of their own and visits every pair of them once.
     Convergence requires |<u, v>| <= JACOBI_ROTATION_TOL * |u| |v| for every
     pair of columns over a full sweep.  Raises :class:`SvdConvergenceError`
     with the sweep count if JACOBI_SWEEP_CAP sweeps are exhausted first.
@@ -220,84 +226,77 @@ def svd(m) -> SvdResult:
     column is rotated, so each sweep screens its pairs with the Gram matrix
     of the live columns alone (k x k for k live columns, not n x n).
 
-    A matrix whose Gram overflows (entries above ~1e154) is decomposed
-    scaled by the power of two that brings its largest entry into [0.5, 1),
-    and its singular values scaled back: a power-of-two scale is exact away
-    from underflow, and the factors and the rank do not depend on it.
+    A matrix whose Gram overflows (entries above ~1e154) or underflows
+    (every column norm below ~1e-146 / sqrt(n), so the rank cut is
+    subnormal) is decomposed scaled by the power of two that brings its
+    largest entry into [0.5, 1), and its singular values scaled back: a
+    power-of-two scale is exact away from underflow, and the factors and
+    the rank do not depend on it.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
     work = np.array(a.T if transposed else a)  # tall copy, shape (big, n)
-    n = work.shape[1]
 
     # v comes from the preconditioner: an identity made up front would be
     # held, unused, through its peak memory
-    if n > 1:
-        pre = _precondition(work)
-        if pre is None:
-            exp = int(np.frexp(np.abs(a).max())[1])
-            res = svd(np.ldexp(a, -exp))
-            return replace(res, singular=np.ldexp(res.singular, exp))
-        work, v = pre
-        rounds = _round_robin(n)
-        # pairs at or below half the rotation tolerance are screened out per
-        # sweep via the Gram matrix; the margin absorbs dot-product rounding
-        screen_tol = 0.5 * JACOBI_ROTATION_TOL
-        null_cut = default_rank_tol(rows, cols)
-        for sweep in range(JACOBI_SWEEP_CAP):
-            # numerically null columns (norm at or below the dimension-scaled
-            # epsilon cutoff) carry no signal; no pair holding one is rotated,
-            # so the Gram is built over the live columns alone
-            norms = np.sqrt(np.einsum("ij,ij->j", work, work))
-            live_cols = np.flatnonzero(norms > null_cut * norms.max())
-            sub = np.take(work, live_cols, axis=1)
-            gram = sub.T @ sub
-            scale = np.outer(norms[live_cols], norms[live_cols])
-            rel = np.divide(np.abs(gram), scale,
-                            out=np.zeros_like(gram), where=scale > 0.0)
-            np.fill_diagonal(rel, 0.0)
-            hot = rel > screen_tol
-            if not hot.any():
-                break
-            # hot pairs in column ids, so the schedule below runs unchanged
-            hotmat = np.zeros((n, n), dtype=bool)
-            hotmat[np.ix_(live_cols, live_cols)] = hot
-            for p_idx, q_idx in rounds:
-                sel = hotmat[p_idx, q_idx]
-                if not sel.any():
-                    continue
-                pj = p_idx[sel]
-                qj = q_idx[sel]
-                up = work[:, pj]
-                uq = work[:, qj]
-                alpha = np.einsum("ij,ij->j", up, up)
-                beta = np.einsum("ij,ij->j", uq, uq)
-                gamma = np.einsum("ij,ij->j", up, uq)
-                # every screened pair gets rotated: re-gating on the exact dot
-                # can stall when the two readings straddle the tolerance
-                live = gamma != 0.0
-                if not live.any():
-                    continue
-                if not live.all():
-                    pj, qj = pj[live], qj[live]
-                    up, uq = up[:, live], uq[:, live]
-                    alpha, beta, gamma = alpha[live], beta[live], gamma[live]
-                zeta = (beta - alpha) / (2.0 * gamma)
-                sgn = np.where(zeta >= 0.0, 1.0, -1.0)
-                t = sgn / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                work[:, pj] = c * up - s * uq
-                work[:, qj] = s * up + c * uq
-                vp = v[:, pj]
-                vq = v[:, qj]
-                v[:, pj] = c * vp - s * vq
-                v[:, qj] = s * vp + c * vq
-        else:
-            raise SvdConvergenceError(JACOBI_SWEEP_CAP)
-    else:  # one column, nothing to rotate
-        v = np.eye(1)
+    pre = _precondition(work)
+    if pre is None:
+        exp = int(np.frexp(np.abs(a).max())[1])
+        res = svd(np.ldexp(a, -exp))
+        return replace(res, singular=np.ldexp(res.singular, exp))
+    work, v = pre
+    # pairs at or below half the rotation tolerance are screened out per
+    # sweep via the Gram matrix; the margin absorbs dot-product rounding
+    screen_tol = 0.5 * JACOBI_ROTATION_TOL
+    null_cut = default_rank_tol(rows, cols)
+    for sweep in range(JACOBI_SWEEP_CAP):
+        # numerically null columns (norm at or below the dimension-scaled
+        # epsilon cutoff) carry no signal; no pair holding one is rotated,
+        # so the Gram is built, and the pairs scheduled, over the live
+        # columns alone
+        norms = np.sqrt(np.einsum("ij,ij->j", work, work))
+        live_cols = np.flatnonzero(norms > null_cut * norms.max())
+        sub = np.take(work, live_cols, axis=1)
+        rel = np.abs(sub.T @ sub)
+        rel /= np.outer(norms[live_cols], norms[live_cols])
+        np.fill_diagonal(rel, 0.0)
+        hot = rel > screen_tol
+        if not hot.any():
+            break
+        for p_idx, q_idx in _round_robin(live_cols.size):
+            sel = hot[p_idx, q_idx]
+            if not sel.any():
+                continue
+            pj = live_cols[p_idx[sel]]
+            qj = live_cols[q_idx[sel]]
+            up = work[:, pj]
+            uq = work[:, qj]
+            alpha = np.einsum("ij,ij->j", up, up)
+            beta = np.einsum("ij,ij->j", uq, uq)
+            gamma = np.einsum("ij,ij->j", up, uq)
+            # every screened pair gets rotated: re-gating on the exact dot
+            # can stall when the two readings straddle the tolerance
+            live = gamma != 0.0
+            if not live.any():
+                continue
+            if not live.all():
+                pj, qj = pj[live], qj[live]
+                up, uq = up[:, live], uq[:, live]
+                alpha, beta, gamma = alpha[live], beta[live], gamma[live]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            sgn = np.where(zeta >= 0.0, 1.0, -1.0)
+            t = sgn / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            work[:, pj] = c * up - s * uq
+            work[:, qj] = s * up + c * uq
+            vp = v[:, pj]
+            vq = v[:, qj]
+            v[:, pj] = c * vp - s * vq
+            v[:, qj] = s * vp + c * vq
+    else:
+        raise SvdConvergenceError(JACOBI_SWEEP_CAP)
 
     sig = np.sqrt(np.einsum("ij,ij->j", work, work))
     order = np.argsort(-sig, kind="stable")

@@ -88,10 +88,12 @@ def test_svd_low_rank_product_and_zero_matrix():
     assert res.singular.shape == (30,)
     assert np.abs(res.right @ res.right.T - np.eye(3)).max() <= 1e-10
 
-    res = svd(np.zeros((4, 6)))
-    assert res.singular.tolist() == [0.0] * 4 and res.rank == 0
-    assert res.left.shape == (4, 0) and res.right.shape == (0, 6)
-    assert np.array_equal(res.reconstruct(), np.zeros((4, 6)))
+    # one-column shapes take the same path as every other
+    for shape in ((4, 6), (3, 1), (1, 3)):
+        res = svd(np.zeros(shape))
+        assert res.singular.tolist() == [0.0] * min(shape) and res.rank == 0
+        assert res.left.shape == (shape[0], 0) and res.right.shape == (0, shape[1])
+        assert np.array_equal(res.reconstruct(), np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", [(1200, 300), (300, 1200)])
@@ -118,16 +120,20 @@ def test_svd_rank_deficient_thin_factors(shape):
 
 
 def test_svd_rescales_a_matrix_whose_gram_overflows():
-    # entries above ~1e154 overflow the Gram; svd then decomposes the matrix
-    # scaled by a power of two and scales the singular values back
+    # entries above ~1e154 overflow the Gram, and tiny ones underflow it;
+    # svd then decomposes the matrix scaled by a power of two and scales the
+    # singular values back
     m = _capture(1201, "batch", 10).delta_w
-    ref = svd(m)
-    # a power-of-two scale is exact: the same factors, sigma scaled exactly
-    got = svd(np.ldexp(m, 540))
-    assert got.rank == ref.rank == 10
-    assert got.right.tobytes() == ref.right.tobytes()
-    assert got.left.tobytes() == ref.left.tobytes()
-    assert got.singular.tobytes() == np.ldexp(ref.singular, 540).tobytes()
+    # ldexp(0.5, -1073) is the smallest subnormal, 5e-324
+    for base, exp, rank in ((m, 540, 10), (m, -600, 10),
+                            (np.full(m.shape, 0.5), -1073, 1)):
+        ref = svd(base)
+        # a power-of-two scale is exact: the same factors, sigma scaled exactly
+        got = svd(np.ldexp(base, exp))
+        assert got.rank == ref.rank == rank, exp
+        assert got.right.tobytes() == ref.right.tobytes()
+        assert got.left.tobytes() == ref.left.tobytes()
+        assert got.singular.tobytes() == np.ldexp(ref.singular, exp).tobytes()
     # 1e160 is not a power of two, so only rounding separates the results
     for big in (m * 1e160, apply_defense(m, DefenseSpec("sign")) * 1e160):
         got, want = svd(big), svd(big / 1e160)
@@ -349,13 +355,13 @@ def test_round_robin_matches_list_schedule():
 def _full_gram_svd(m):
     """`svd` as it was with the full n x n Gram per sweep, dead rows and
     columns zeroed: the reference that the live-column sweeps must match bit
-    for bit.  It shares `svd`'s preconditioner, which the sweeps start from.
+    for bit.  It shares `svd`'s preconditioner, which the sweeps start from,
+    and pairs the live columns by the same tournament over their positions.
     Returns the result and the number of sweeps that rotated."""
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
     work = np.array(a.T if transposed else a)
-    n = work.shape[1]
     work, v = linalg._precondition(work)
     null_cut = default_rank_tol(rows, cols)
     for sweep in range(linalg.JACOBI_SWEEP_CAP):
@@ -370,11 +376,13 @@ def _full_gram_svd(m):
         hotmat = rel > 0.5 * linalg.JACOBI_ROTATION_TOL
         if not hotmat.any():
             break
-        for p_idx, q_idx in _round_robin(n):
-            sel = hotmat[p_idx, q_idx]
+        live = np.flatnonzero(~dead)
+        for p_idx, q_idx in _round_robin(live.size):
+            p_col, q_col = live[p_idx], live[q_idx]
+            sel = hotmat[p_col, q_col]
             if not sel.any():
                 continue
-            pj, qj = p_idx[sel], q_idx[sel]
+            pj, qj = p_col[sel], q_col[sel]
             up, uq = work[:, pj], work[:, qj]
             alpha = np.einsum("ij,ij->j", up, up)
             beta = np.einsum("ij,ij->j", uq, uq)

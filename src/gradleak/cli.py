@@ -132,20 +132,14 @@ def _cmd_simulate(args) -> int:
     in_dir = args.count > 1 or os.path.isdir(args.out)
     if args.count > 1:
         os.makedirs(args.out, exist_ok=True)
-    paths = []
-    for sc in scenarios:
-        path = os.path.join(args.out, f"case-{sc.seed:08d}.case") if in_dir else args.out
-        paths.append(path)
-        if args.skip_existing and os.path.exists(path):
-            # a kept case still gets the sidecar the command names
-            if not args.grd_out:
-                continue
-            case = load_case(path).case
-        else:
-            case = simulate_case(sc)
-            save_case(path, case)
-        if args.grd_out:
-            write_grd(args.grd_out, case.delta_w)
+    paths = [os.path.join(args.out, f"case-{sc.seed:08d}.case") if in_dir else args.out
+             for sc in scenarios]
+    for sc, path in zip(scenarios, paths):
+        if not (args.skip_existing and os.path.exists(path)):
+            save_case(path, simulate_case(sc))
+    if args.grd_out:
+        # the stored case's update, whether that case was kept or is new
+        write_grd(args.grd_out, load_case(paths[0]).case.delta_w)
     if args.decoder_out:
         save_decoder(args.decoder_out, initial_state(scenarios[0]))
     for p in paths:

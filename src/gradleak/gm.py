@@ -134,10 +134,10 @@ class GMResult:
     """Reconstructed transcript with bookkeeping.
 
     final_loss is the plain (unsquared) Frobenius gradient distance of the
-    kept restart; objective adds the weighted regularizer to the squared
-    distance.  n_vars records the optimized search-space size.  runs holds
-    one (steps, distance, converged) per restart, in restart order; a
-    diverged restart reads (step, inf, False).
+    kept restart, and objective is :func:`gm_objective` there; both come
+    from one sum of squares.  n_vars records the optimized search-space
+    size.  runs holds one (steps, distance, converged) per restart, in
+    restart order; a diverged restart reads (step, inf, False).
     """
 
     transcript: tuple[int, ...]
@@ -164,10 +164,7 @@ def gm_objective(a, p, prob: GMProblem) -> float:
     The ground-truth pair (context vectors, one-hot rows) that generated the
     target is a global minimizer with value 0.
     """
-    a = as_matrix(a, "context vectors")
-    p = as_matrix(p, "smooth labels")
-    _, _, e = _residual(a, p, prob)
-    return float((e * e).sum()) + prob.lam * regularizer(p)
+    return _score(as_matrix(a, "context vectors"), as_matrix(p, "smooth labels"), prob)[1]
 
 
 def gm_gradients(a, p, prob: GMProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -224,11 +221,11 @@ def make_problem(decoder: ToyDecoder, context: np.ndarray, labels: Sequence[int]
                      s=len(labels), **fields)
 
 
-def _distance(a: np.ndarray, p: np.ndarray, prob: GMProblem) -> tuple[float, float]:
-    # plain gradient distance and objective of one restart's (A, P)
+def _score(a: np.ndarray, p: np.ndarray, prob: GMProblem) -> tuple[float, float]:
+    # plain gradient distance and objective of one (A, P), from one sum of E^2
     _, _, e = _residual(a, p, prob)
-    distance = float(np.sqrt((e * e).sum()))
-    return distance, distance * distance + prob.lam * regularizer(p)
+    squared = float((e * e).sum())
+    return float(np.sqrt(squared)), squared + prob.lam * regularizer(p)
 
 
 def _descend(prob: GMProblem, a: np.ndarray, p: np.ndarray) -> list[tuple]:
@@ -268,7 +265,7 @@ def _descend(prob: GMProblem, a: np.ndarray, p: np.ndarray) -> list[tuple]:
             for i in done.nonzero()[0]:
                 transcript = tuple(prob.cols[picks[i]].tolist())
                 if finite[i]:
-                    distance, objective = _distance(a[i], p[i], prob)
+                    distance, objective = _score(a[i], p[i], prob)
                 else:
                     # diverged run: non-converged with infinite distance, so
                     # any finite restart beats it

@@ -143,7 +143,8 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     v is the rank probe's low-rank basis or the full Gram eigenbasis
     (largest first), as :func:`svd` describes, or the identity if eigh
     fails.  The sweeps decide every rotation and the rank from there, so
-    v only has to be orthogonal.
+    v only has to be orthogonal.  `work` is read, never written: every
+    route returns a new array, the identity's route a copy of `work`.
     """
     n = work.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,7 +162,8 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         try:
             _, pre = np.linalg.eigh(gram)
         except np.linalg.LinAlgError:
-            return work, np.eye(n)
+            # the sweeps rotate in place, and `work` may be svd's input
+            return np.array(work), np.eye(n)
         pre = np.ascontiguousarray(pre[:, ::-1])
         return work @ pre, pre
 
@@ -224,7 +226,12 @@ def svd(m) -> SvdResult:
     only the `rank` live directions.  Leaving the null part out moves the
     reconstruction far less than the 1e-8 gate.  No pair holding a null
     column is rotated, so each sweep screens its pairs with the Gram matrix
-    of the live columns alone (k x k for k live columns, not n x n).
+    of the live columns alone (k x k for k live columns, not n x n).  The
+    sweeps end on one that rotates nothing, so its column norms, sorted, are
+    the singular values, and its live count is the rank.
+
+    `svd` neither copies nor writes its input: the preconditioner reads it
+    and returns a new array for the sweeps to rotate.
 
     A matrix whose Gram overflows (entries above ~1e154) or underflows
     (every column norm below ~1e-146 / sqrt(n), so the rank cut is
@@ -236,11 +243,9 @@ def svd(m) -> SvdResult:
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
-    work = np.array(a.T if transposed else a)  # tall copy, shape (big, n)
-
     # v comes from the preconditioner: an identity made up front would be
     # held, unused, through its peak memory
-    pre = _precondition(work)
+    pre = _precondition(a.T if transposed else a)
     if pre is None:
         exp = int(np.frexp(np.abs(a).max())[1])
         res = svd(np.ldexp(a, -exp))
@@ -298,11 +303,11 @@ def svd(m) -> SvdResult:
     else:
         raise SvdConvergenceError(JACOBI_SWEEP_CAP)
 
-    sig = np.sqrt(np.einsum("ij,ij->j", work, work))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    # sig is non-increasing, so the live columns are the first k in order
-    k = numeric_rank(sig, default_rank_tol(rows, cols))
+    # the last sweep rotated nothing: its norms are the singular values, and
+    # its live columns, above the rank cut, come first in sorted order
+    order = np.argsort(-norms, kind="stable")
+    sig = norms[order]
+    k = live_cols.size
     u, v = work[:, order[:k]] / sig[:k], v[:, order[:k]]
     if transposed:
         u, v = v, u

@@ -93,11 +93,12 @@ def test_simulate_single_into_directory_skip_existing(tmp_path, capsys):
 
 def test_simulate_skip_existing_writes_the_kept_case_sidecar(tmp_path, capsys):
     # a kept case still gets its sidecar, read from the kept file: every file
-    # the command names exists on exit 0
+    # the command names exists on exit 0, and it holds the bytes the new
+    # case's sidecar held
     path, grd = tmp_path / "case.json", tmp_path / "case.grd"
-    other = str(tmp_path / "other.json")
+    other, first_grd = str(tmp_path / "other.json"), tmp_path / "first.grd"
     assert main(["simulate", "--mode", "batch", "--n", "2", "--d", "6", "--classes", "5",
-                 "--seed", "8", "--out", other]) == 0
+                 "--seed", "8", "--out", other, "--grd-out", str(first_grd)]) == 0
     os.replace(other, path)
     kept = path.read_bytes()
     capsys.readouterr()
@@ -109,6 +110,7 @@ def test_simulate_skip_existing_writes_the_kept_case_sidecar(tmp_path, capsys):
     case = load_case(str(path)).case
     assert case.scenario.seed == 8
     assert read_grd(str(grd)).tobytes() == case.delta_w.tobytes()
+    assert grd.read_bytes() == first_grd.read_bytes()
 
 
 def test_simulate_multistep_sets_every_step_lr(tmp_path):
@@ -154,6 +156,14 @@ def test_simulate_refuses_a_non_finite_lr(tmp_path, capsys):
                      "--classes", "5", "--lr", rate, "--out", case]) == 2
         assert capsys.readouterr().err == f"error: learning rate {rate} must be finite and positive\n"
         assert os.listdir(tmp_path) == []
+
+
+def test_simulate_refuses_a_count_below_one(tmp_path, capsys):
+    out = str(tmp_path / "cases")
+    assert main(["simulate", "--mode", "batch", "--n", "2", "--d", "6", "--classes", "5",
+                 "--count", "0", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --count must be >= 1\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_simulate_count_refuses_before_making_the_directory(tmp_path, capsys):
@@ -819,3 +829,9 @@ def test_bench_suite_prints_lines_and_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(bench.SUITES, "table1", (lambda: good, lambda: bad))
     assert main(["bench", "--suite", "table1"]) == 1
     assert capsys.readouterr().out == "PASS  good: x=1\nFAIL  bad: y=2\n"
+
+
+def test_run_suite_names_the_suites_when_it_refuses_one():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope', expected one of "
+                                         r"\['table1', 'table2', 'table3', 'table4'\]"):
+        bench.run_suite("nope")

@@ -336,8 +336,9 @@ def _serial_reconstruct(prob, seed, restarts, truth=None, nan_at=None):
                 converged = True
                 break
         diff = _reference_residual(a, p, prob)[2]
-        distance = float(np.sqrt((diff * diff).sum()))
-        objective = distance * distance + prob.lam * regularizer(p)
+        squared = float((diff * diff).sum())
+        distance = float(np.sqrt(squared))
+        objective = squared + prob.lam * regularizer(p)
         return transcript, distance, objective, step, converged
 
     outcomes = [single_run(r, np.random.Generator(np.random.Philox(key=seed).jumped(r)))
@@ -400,6 +401,23 @@ def test_stacked_descent_matches_serial_reference(restarts, restricted):
     got = reconstruct(prob, seed=7, restarts=restarts, truth=labels)
     assert _bits(got) == _bits(_serial_reconstruct(prob, 7, restarts, labels))
     assert len(got.runs) == restarts
+
+
+def test_result_objective_is_gm_objective_at_the_kept_restart():
+    # one step of the one restart, replayed from its start: the result
+    # reports gm_objective and the plain distance of where that step ends
+    dec, context, labels = table4_instance(909)
+    prob = make_problem(dec, context, labels, max_steps=1)
+    got = reconstruct(prob, seed=909, restarts=1)
+    rng = np.random.Generator(np.random.Philox(key=909).jumped(0))
+    a = rng.normal(0.0, 0.01, size=(prob.s, dec.d_a))
+    p = rng.normal(0.0, 0.01, size=(prob.s, prob.width))
+    ga, gp = gm_gradients(a, p, prob)
+    a -= ga * gm.LR_INIT
+    p -= gp * gm.LR_INIT
+    assert got.objective == gm_objective(a, p, prob)
+    e = gm._residual(a, p, prob)[2]
+    assert got.final_loss == float(np.sqrt((e * e).sum()))
 
 
 @pytest.mark.parametrize("restricted", [True, False])

@@ -324,6 +324,41 @@ def test_precondition_is_an_orthogonal_change_of_basis(rank, monkeypatch):
         assert work.tobytes() == (a @ pre).tobytes()
 
 
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+@pytest.mark.parametrize("route", ["low-rank", "eigenbasis", "identity", "rescaled"])
+def test_svd_neither_writes_nor_shares_its_input(route, tall, monkeypatch):
+    # the preconditioner reads the caller's array in place; every route must
+    # hand the sweeps an array of their own, or they would rotate the input
+    rng = np.random.default_rng(41)
+    n = 24
+    if route == "low-rank":
+        a = rng.normal(size=(90, 5)) @ rng.normal(size=(5, n))
+    else:
+        a = rng.normal(size=(90, n))
+    if route == "rescaled":
+        a *= 2.0 ** 540  # the Gram overflows, so svd reruns on a scaled copy
+    if not tall:
+        a = np.ascontiguousarray(a.T)
+    # the route shows in the shape of every matrix handed to eigh; the
+    # identity fallback is what the preconditioner takes when eigh raises
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(g):
+        shapes.append(g.shape)
+        if route == "identity":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    before = a.tobytes()
+    res = svd(a)
+    assert a.tobytes() == before
+    assert not any(np.shares_memory(x, a) for x in (res.left, res.singular, res.right))
+    assert shapes == [(5, 5) if route == "low-rank" else (n, n)]
+    assert res.rank == (5 if route == "low-rank" else n)
+    assert np.abs(res.reconstruct() - a).max() <= 1e-12 * np.abs(a).max()
+
+
 def _round_robin_by_lists(n):
     # the circle method written out seat by seat, as the reference schedule
     players = list(range(n)) + ([-1] if n % 2 else [])

@@ -21,6 +21,9 @@ JACOBI_ROTATION_TOL = 1e-12
 # took ~10 ms, most of it re-reading every earlier factor column at each
 # step; blocks of 128 took ~6 ms (one BLAS thread, 2-vCPU x86 host)
 PROBE_BLOCK = 128
+# tail columns of the low-rank basis formed at a time, only for their norms:
+# a 1 MB buffer at 2000 rows, where the whole 512-column tail took 8 MB
+TAIL_BLOCK = 64
 
 
 class SvdConvergenceError(RuntimeError):
@@ -134,17 +137,51 @@ def _rank_probe(gram: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """An orthogonal basis v for the columns of `work` (big x n), returned
-    as (work @ v, v), or None when the Gram matrix overflows, or when
-    `work` is nonzero but n * EPS * max(diag(Gram)), the rank probe's cut,
-    is below the smallest normal float (the Gram has underflowed).
+def _wy_tvt(vt: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """T @ vt, for the compact WY form H_1 ... H_r = I - V T V^T of the
+    Householder reflectors H_j = I - tau_j v_j v_j^T, V = vt.T, whose T is
+    LAPACK's dlarft's.
 
-    v is the rank probe's low-rank basis or the full Gram eigenbasis
-    (largest first), as :func:`svd` describes, or the identity if eigh
-    fails.  The sweeps decide every rotation and the rank from there, so
-    v only has to be orthogonal.  `work` is read, never written: every
-    route returns a new array, the identity's route a copy of `work`.
+    T comes from the UT transform (Joffrain et al. 2006): T^-1 = diag(1/tau)
+    + striu(V^T V), so T @ vt is one triangular solve.  A reflector with
+    tau_j = 0 is the identity, and dlarft leaves row and column j of T zero:
+    row j of the product is zero, and the solve runs over the other
+    reflectors.
+    """
+    on = np.flatnonzero(tau)
+    sub = vt[on]
+    inv = sub @ sub.T
+    inv[np.tri(on.size, dtype=bool)] = 0.0
+    inv.flat[::on.size + 1] = 1.0 / tau[on]
+    tvt = np.zeros_like(vt)
+    tvt[on] = np.linalg.solve(inv, sub)
+    return tvt
+
+
+def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """An orthogonal change of basis v for the columns of `work` (big x n)
+    that leaves the sweeps little to rotate, returned as (work @ v, v,
+    tail), or None when the Gram matrix overflows, or when `work` is
+    nonzero but n * EPS * max(diag(Gram)), the rank probe's cut, is below
+    the smallest normal float (the Gram has underflowed).
+
+    On a full-rank Gram, v is its n x n eigenbasis (largest first), or the
+    identity if eigh fails, and `tail` is empty.  When the rank probe stops
+    at r < n pivots, the basis is the Householder QR basis Q of the Gram's
+    r pivoted columns, in compact WY form, and only what the sweeps read is
+    formed: work @ Q[:, :r] turned onto its own r x r Gram eigenbasis
+    (big x r), Q[:, :r] turned the same way (n x r), and the column norms
+    of the n - r tail columns, `tail`.  The tail is never formed whole: it
+    is built TAIL_BLOCK columns at a time into one reused buffer, in the
+    input's memory order (as rows when `work` is a transposed view, as
+    svd's wide input is).  A tail column above half the null cut of the
+    largest norm is formed too and joins the live block, with its column
+    of Q, so that every column the sweeps could count live is in the
+    block.  Every route allocates the n x n Gram; the full-rank ones also
+    a big x n array and an n x n basis.  The sweeps decide every rotation
+    and the rank from there, so v only has to be orthogonal.  `work` is
+    read, never written: every route returns a new array, the identity's
+    route a copy of `work`.
     """
     n = work.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -163,38 +200,61 @@ def _precondition(work: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             _, pre = np.linalg.eigh(gram)
         except np.linalg.LinAlgError:
             # the sweeps rotate in place, and `work` may be svd's input
-            return np.array(work), np.eye(n)
+            return np.array(work), np.eye(n), np.empty(0)
         pre = np.ascontiguousarray(pre[:, ::-1])
-        return work @ pre, pre
+        return work @ pre, pre, np.empty(0)
 
     r = pivots.size
     # raw mode returns LAPACK's reflectors transposed: row j of `h` holds
     # reflector j past its diagonal entry, which is implicitly 1
     h, tau = np.linalg.qr(gram[:, pivots], mode="raw")
-    del gram  # not held through the rows x n product below
+    del gram  # not held through the products below
     vt = np.triu(h, 1)
     vt[np.arange(r), np.arange(r)] = 1.0
-    # T upper triangular with H_1 ... H_r = I - V T V^T (LAPACK's dlarft)
-    t = np.zeros((r, r))
-    cross = vt @ vt.T
-    for j in range(r):
-        t[:j, j] = -tau[j] * (t[:j, :j] @ cross[:j, j])
-        t[j, j] = tau[j]
-    tvt = t @ vt
-    v = np.eye(n)
-    v -= vt.T @ tvt
-    # work @ Q written into the product's buffer: two rows x n arrays at
-    # most, and the older one is freed, which leaves the allocator less
-    # resident memory than updating `work` in place
-    prod = (work @ vt.T) @ tvt
-    work = np.subtract(work, prod, out=prod)
+    tvt = _wy_tvt(vt, tau)  # Q = I - vt.T @ tvt
+    wv = work @ vt.T
+
+    def columns(cols):
+        """work @ Q[:, cols] and Q[:, cols]."""
+        q = vt.T @ -tvt[:, cols]
+        q[cols, np.arange(cols.size)] += 1.0
+        return work[:, cols] - wv @ tvt[:, cols], q
+
+    tail = np.empty(n - r)
+    # the tail in the input's memory order: rows of its transpose when
+    # `work` is a transposed view, else columns (a tall 2000 x 512 SVD took
+    # 36 ms by rows and 27 by columns; one BLAS thread, 2-vCPU x86 host)
+    rowwise = not work.flags.c_contiguous
+    buf = np.empty((TAIL_BLOCK, work.shape[0]) if rowwise else (work.shape[0], TAIL_BLOCK))
+    for lo in range(r, n, TAIL_BLOCK):
+        cols = slice(lo, min(lo + TAIL_BLOCK, n))
+        if rowwise:
+            block = buf[:cols.stop - lo]
+            np.matmul(tvt[:, cols].T, wv.T, out=block)
+            np.subtract(work[:, cols].T, block, out=block)
+        else:
+            block = buf[:, :cols.stop - lo]
+            np.matmul(wv, tvt[:, cols], out=block)
+            block = np.subtract(work[:, cols], block, out=block).T
+        tail[lo - r:cols.stop - r] = np.einsum("ij,ij->i", block, block)
+    del buf
+    tail = np.sqrt(tail)
+
     # the live columns onto their own Gram eigenbasis, largest first
-    head = work[:, :r]
-    _, turn = np.linalg.eigh(head.T @ head)
+    head, v = columns(np.arange(r))
+    lam, turn = np.linalg.eigh(head.T @ head)
     turn = turn[:, ::-1]
-    work[:, :r] = head @ turn
-    v[:, :r] = v[:, :r] @ turn
-    return work, v
+    head, v = head @ turn, v @ turn
+    # the largest norm never falls over the sweeps, bar rounding (a rotation
+    # never lowers the larger of its pair), so a tail column at or below
+    # half the null cut of the largest norm now never turns live
+    top = max(tail.max(), np.sqrt(lam.max(initial=0.0)))
+    join = np.flatnonzero(tail > 0.5 * default_rank_tol(*work.shape) * top)
+    if join.size:
+        more, q = columns(r + join)
+        head, v = np.hstack((head, more)), np.hstack((v, q))
+        tail = np.delete(tail, join)
+    return head, v, tail
 
 
 def svd(m) -> SvdResult:
@@ -213,12 +273,17 @@ def svd(m) -> SvdResult:
     or below n * EPS * max(diag).  If it stops at r < n pivots, the basis is
     the Householder QR basis of the Gram's r pivoted columns, applied in
     compact WY form, with its first r columns turned onto their own r x r
-    Gram eigenbasis: O(rows n r) work, and its n - r tail columns hold
-    rounding only.  The full Gram eigenbasis costs O(rows n^2 + n^3), and
-    on a rank-deficient update the error of its eigenvectors leaves pairs
-    for the sweeps to rotate, so only a full-rank update, whose probe takes
-    all n pivots, gets it.  Only the sweeps below decide which columns are
-    live and how each pair turns.
+    Gram eigenbasis: O(rows n r) work.  Only those r columns are formed
+    (rows x r, and n x r of the basis), and the sweeps run over them alone.
+    The n - r tail columns are never formed; their norms are kept, and are
+    the singular values past the rank.  A tail column above half the null
+    cut of the largest norm is formed and joins the live block, so the
+    live columns are those the sweeps would find over all n.  The full Gram
+    eigenbasis costs O(rows n^2 + n^3) and a rows x n array to rotate with
+    an n x n basis, and on a rank-deficient update the error of its
+    eigenvectors leaves pairs for the sweeps to rotate, so only a full-rank
+    update, whose probe takes all n pivots, gets it.  Only the sweeps below
+    decide which columns are live and how each pair turns.
 
     Columns whose norm falls below default_rank_tol(rows, cols) relative to the
     largest are numerically null: their singular values are the computed
@@ -250,7 +315,7 @@ def svd(m) -> SvdResult:
         exp = int(np.frexp(np.abs(a).max())[1])
         res = svd(np.ldexp(a, -exp))
         return replace(res, singular=np.ldexp(res.singular, exp))
-    work, v = pre
+    work, v, tail = pre
     # pairs at or below half the rotation tolerance are screened out per
     # sweep via the Gram matrix; the margin absorbs dot-product rounding
     screen_tol = 0.5 * JACOBI_ROTATION_TOL
@@ -259,9 +324,11 @@ def svd(m) -> SvdResult:
         # numerically null columns (norm at or below the dimension-scaled
         # epsilon cutoff) carry no signal; no pair holding one is rotated,
         # so the Gram is built, and the pairs scheduled, over the live
-        # columns alone
+        # columns alone.  The largest norm is in `work`: the preconditioner
+        # keeps only the tail columns far below the cut out of it (and a
+        # zero matrix leaves `work` no column at all)
         norms = np.sqrt(np.einsum("ij,ij->j", work, work))
-        live_cols = np.flatnonzero(norms > null_cut * norms.max())
+        live_cols = np.flatnonzero(norms > null_cut * norms.max(initial=0.0))
         sub = np.take(work, live_cols, axis=1)
         rel = np.abs(sub.T @ sub)
         rel /= np.outer(norms[live_cols], norms[live_cols])
@@ -303,12 +370,13 @@ def svd(m) -> SvdResult:
     else:
         raise SvdConvergenceError(JACOBI_SWEEP_CAP)
 
-    # the last sweep rotated nothing: its norms are the singular values, and
-    # its live columns, above the rank cut, come first in sorted order
-    order = np.argsort(-norms, kind="stable")
-    sig = norms[order]
+    # the last sweep rotated nothing: its norms and the tail's are the
+    # singular values, and its live columns, above the rank cut, come first
+    # in sorted order
     k = live_cols.size
-    u, v = work[:, order[:k]] / sig[:k], v[:, order[:k]]
+    order = np.argsort(-norms, kind="stable")[:k]
+    sig = -np.sort(-np.concatenate((norms, tail)))
+    u, v = work[:, order] / sig[:k], v[:, order]
     if transposed:
         u, v = v, u
     left, right = u.copy(), v.T.copy()  # C-contiguous, owning their data

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,22 +308,124 @@ def test_precondition_is_an_orthogonal_change_of_basis(rank, monkeypatch):
     # the path shows in the shape of every matrix handed to eigh
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
-    work, v = linalg._precondition(a.copy())
+    work, v, tail = linalg._precondition(a.copy())
     norm = np.linalg.norm(a, 2)
-    assert np.abs(v.T @ v - np.eye(n)).max() <= n * linalg.EPS
+    assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= n * linalg.EPS
     assert np.abs(work - a @ v).max() <= 4 * linalg.EPS * norm
     if rank:
-        # the Householder basis, its live columns turned by their own
-        # rank x rank eigenbasis; the others hold rounding only
+        # the Householder basis's live columns, turned by their own rank x
+        # rank eigenbasis; the other columns are never formed, and their
+        # norms, rounding only, are all that is kept of them
         assert shapes == [(rank, rank)]
-        assert np.linalg.norm(work[:, rank:], axis=0).max() <= n * linalg.EPS * norm
+        assert v.shape == (n, rank) and tail.shape == (n - rank,)
+        assert tail.max() <= n * linalg.EPS * norm
     else:
         # the full Gram eigenbasis, largest first, as the sweeps always had
         assert shapes == [(n, n)]
+        assert tail.size == 0
         _, pre = np.linalg.eigh(a.T @ a)
         pre = np.ascontiguousarray(pre[:, ::-1])
         assert v.tobytes() == pre.tobytes()
         assert work.tobytes() == (a @ pre).tobytes()
+
+
+def _dlarft(vt, tau):
+    # LAPACK's dlarft recurrence, column by column: the reference for T
+    r = tau.size
+    t = np.zeros((r, r))
+    cross = vt @ vt.T
+    for j in range(r):
+        t[:j, j] = -tau[j] * (t[:j, :j] @ cross[:j, j])
+        t[j, j] = tau[j]
+    return t
+
+
+@pytest.mark.parametrize("pivoted", [
+    pytest.param(np.random.default_rng(3).normal(size=(40, 12)), id="random"),
+    # the Gram of diag(3, 2, 1, 0, 0) with its pivots in place: every column
+    # is already triangular, so every reflector is the identity (tau = 0)
+    pytest.param(np.diag([9.0, 4.0, 1.0, 0.0, 0.0])[:, :3], id="all-identity"),
+    # pivots 1, 2, 0 of diag(1, 3, 2, 0, 0)'s Gram: tau = 1, 1, 0
+    pytest.param(np.diag([1.0, 9.0, 4.0, 0.0, 0.0])[:, [1, 2, 0]], id="last-identity"),
+])
+def test_wy_tvt_applies_dlarfts_t(pivoted):
+    h, tau = np.linalg.qr(pivoted, mode="raw")
+    r = tau.size
+    vt = np.triu(h, 1)
+    vt[np.arange(r), np.arange(r)] = 1.0
+    t = _dlarft(vt, tau)
+    got = linalg._wy_tvt(vt, tau)
+    assert np.abs(got - t @ vt).max() <= 8 * r * linalg.EPS
+    # an identity reflector's row of T, zero in dlarft, gives a zero row
+    assert not got[tau == 0.0].any()
+    q = np.eye(vt.shape[1])
+    for j in range(r):
+        q -= tau[j] * np.outer(q @ vt[j], vt[j])
+    assert np.abs(np.eye(vt.shape[1]) - vt.T @ got - q).max() <= 8 * r * linalg.EPS
+
+
+@pytest.mark.parametrize("diag", [[3.0, 2.0, 1.0, 0.0, 0.0], [1.0, 3.0, 2.0, 0.0, 0.0]])
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+def test_svd_of_a_rank_deficient_diagonal(diag, tall):
+    # its rank probe's Householder reflectors include the identity (tau = 0)
+    m = np.zeros((5, 7))
+    m[np.arange(5), np.arange(5)] = diag
+    m = m.T.copy() if tall else m
+    res = svd(m)
+    assert res.rank == 3
+    assert res.singular.tolist() == [3.0, 2.0, 1.0, 0.0, 0.0]
+    assert np.abs(res.reconstruct() - m).max() <= 4 * linalg.EPS
+
+
+def _hidden_direction(rows, cols, r, spread):
+    # rank r + 1 with sigma = 1, ..., 1, 1e-9: the last direction lies below
+    # the rank probe's stop, sqrt(n eps), and far above the null cut, so the
+    # probe stops at r and the direction is left in the tail columns.  When
+    # spread, its left vector is random and every tail column holds a share
+    # of it; otherwise it is a coordinate axis, which one tail column holds
+    rng = np.random.default_rng(rows)
+    if spread:
+        u, _ = np.linalg.qr(rng.normal(size=(rows, r + 1)))
+    else:
+        u = np.zeros((rows, r + 1))
+        u[:-1, :r], _ = np.linalg.qr(rng.normal(size=(rows - 1, r)))
+        u[-1, r] = 1.0
+    w, _ = np.linalg.qr(rng.normal(size=(cols, r + 1)))
+    return (u * np.r_[np.ones(r), 1e-9]) @ w.T
+
+
+@pytest.mark.parametrize("rows, cols, r, spread", [(64, 100, 5, True), (512, 2000, 16, False)],
+                         ids=["64x100-spread", "512x2000-axis"])
+def test_svd_keeps_a_live_direction_left_in_the_tail(rows, cols, r, spread):
+    # tail columns above the null cut are formed and join the live block:
+    # left as norms only, the hidden direction would read as null.  At
+    # 512 x 2000 the direction is an axis: spread, ~495 columns would join,
+    # and the sweeps take seconds to gather it
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    m = _hidden_direction(rows, cols, r, spread)
+    assert linalg._rank_probe(m @ m.T).size == r
+    got = svd(m)
+    sva, _, _, work, _, info = lapack.dgejsv(m.T, jobu=3, jobv=3)
+    assert info == 0
+    want = sva * work[0] / work[1]
+    assert got.rank == numeric_rank(want, default_rank_tol(rows, cols)) == r + 1
+    assert np.abs(got.singular[:r + 1] - want[:r + 1]).max() <= 1e-13 * want[0]
+    assert abs(got.singular[r] - want[r]) <= 1e-6 * want[r]
+
+
+def test_svd_of_a_wide_low_rank_update_allocates_under_half_its_input():
+    # no rows x n product and no n x n basis: the n x n Gram, the tail's
+    # reused 64 x rows block and the rank-wide factors are all it holds
+    rng = np.random.default_rng(16)
+    m = rng.normal(size=(512, 16)) @ rng.normal(size=(16, 2000))
+    tracemalloc.start()
+    try:
+        res = svd(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rank == 16
+    assert peak < m.nbytes / 2
 
 
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
@@ -387,17 +491,48 @@ def test_round_robin_matches_list_schedule():
             assert np.array_equal(p, wp) and np.array_equal(q, wq), n
 
 
+def _tail_columns(x):
+    """The tail columns x @ Q[:, r:] of the rank probe's Householder basis,
+    formed whole in the layout `_precondition` forms their blocks in: rows
+    of their transpose when x is a transposed view.  None on a full rank."""
+    gram = x.T @ x
+    pivots = linalg._rank_probe(gram)
+    if pivots is None:
+        return None
+    r = pivots.size
+    h, tau = np.linalg.qr(gram[:, pivots], mode="raw")
+    vt = np.triu(h, 1)
+    vt[np.arange(r), np.arange(r)] = 1.0
+    tvt = linalg._wy_tvt(vt, tau)
+    wv = x @ vt.T
+    if x.flags.c_contiguous:
+        return x[:, r:] - wv @ tvt[:, r:]
+    return (x.T[r:] - tvt[:, r:].T @ wv.T).T
+
+
 def _full_gram_svd(m):
-    """`svd` as it was with the full n x n Gram per sweep, dead rows and
-    columns zeroed: the reference that the live-column sweeps must match bit
-    for bit.  It shares `svd`'s preconditioner, which the sweeps start from,
-    and pairs the live columns by the same tournament over their positions.
-    Returns the result and the number of sweeps that rotated."""
+    """`svd` as it was with the full n x n Gram per sweep over every column,
+    dead rows and columns zeroed: the reference that the live-column sweeps
+    must match bit for bit.  It starts from `svd`'s preconditioned live
+    block, plus the tail columns formed whole, and pairs the live columns
+    by the same tournament over their positions.  The tail columns, never
+    rotated, keep the norms they were formed with.  Returns the result and
+    the number of sweeps that rotated."""
     a = as_matrix(m)
     rows, cols = a.shape
     transposed = rows < cols
-    work = np.array(a.T if transposed else a)
-    work, v = linalg._precondition(work)
+    x = a.T if transposed else a
+    block, v, kept = linalg._precondition(x)
+    k = block.shape[1]
+    tail = _tail_columns(x)
+    if tail is None:
+        tail = np.empty((x.shape[0], 0))
+    tail_norms = np.sqrt(np.einsum("ij,ij->j", tail, tail))
+    # the tail columns left out of the block: every one that joined it is
+    # above them all
+    out = tail_norms <= kept.max(initial=-1.0)
+    assert out.sum() == kept.size == x.shape[1] - k
+    work = np.hstack((block, tail[:, out]))
     null_cut = default_rank_tol(rows, cols)
     for sweep in range(linalg.JACOBI_SWEEP_CAP):
         gram = work.T @ work
@@ -418,6 +553,7 @@ def _full_gram_svd(m):
             if not sel.any():
                 continue
             pj, qj = p_col[sel], q_col[sel]
+            assert qj.max() < k, "a tail column left out of the block turned live"
             up, uq = work[:, pj], work[:, qj]
             alpha = np.einsum("ij,ij->j", up, up)
             beta = np.einsum("ij,ij->j", uq, uq)
@@ -437,11 +573,12 @@ def _full_gram_svd(m):
             v[:, pj], v[:, qj] = c * vp - s * vq, s * vp + c * vq
     else:
         raise SvdConvergenceError(linalg.JACOBI_SWEEP_CAP)
-    sig = np.sqrt(np.einsum("ij,ij->j", work, work))
+    sig = np.concatenate((np.sqrt(np.einsum("ij,ij->j", work[:, :k], work[:, :k])),
+                          tail_norms[out]))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
-    k = numeric_rank(sig, null_cut)
-    u, v = work[:, order[:k]] / sig[:k], v[:, order[:k]]
+    r = numeric_rank(sig, null_cut)
+    u, v = work[:, order[:r]] / sig[:r], v[:, order[:r]]
     if transposed:
         u, v = v, u
     left, right = u.copy(), v.T.copy()
@@ -449,7 +586,7 @@ def _full_gram_svd(m):
     flip = right[np.arange(right.shape[0]), first] < 0.0
     right[flip] *= -1.0
     left[:, flip] *= -1.0
-    return linalg.SvdResult(left=left, singular=sig, right=right, rank=k), sweep
+    return linalg.SvdResult(left=left, singular=sig, right=right, rank=r), sweep
 
 
 def _bit_identity_inputs():
